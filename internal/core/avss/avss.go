@@ -85,12 +85,18 @@ type AVSS struct {
 	// Reconstruction state.
 	recActive bool
 	recSent   bool
-	phi       map[int]poly.Share // verified key shares (Φ in Alg. 2)
+	phi       map[int]keyShare // verified key shares (Φ in Alg. 2)
+	recA      poly.Poly        // A through the first f+1 verified shares
+	recB      poly.Poly        // B through the same shares
+	haveRec   bool             // recA/recB are set
 	keySent   bool
 	keyVotes  map[string]map[int]bool
 	keyVals   map[string]field.Scalar
 	recOut    bool
 }
+
+// keyShare is one verified KeyRec pair (A(ω_j), B(ω_j)).
+type keyShare struct{ a, b field.Scalar }
 
 type cipherMsg struct {
 	quorum sig.Quorum
@@ -111,7 +117,7 @@ func New(rt proto.Runtime, inst string, keys *pki.Keyring, dealer int, onShare f
 		onRec:    onRec,
 		echoes:   make(map[string]map[int]bool),
 		readies:  make(map[string]map[int]bool),
-		phi:      make(map[int]poly.Share),
+		phi:      make(map[int]keyShare),
 		keyVotes: make(map[string]map[int]bool),
 		keyVals:  make(map[string]field.Scalar),
 	}
@@ -282,7 +288,7 @@ func (a *AVSS) onKeyStored(from int, rd *wire.Reader) {
 		return // late signature after the quorum closed; not an error
 	}
 	s, err := sig.SignatureFromBytes(sb)
-	if err != nil || !sig.Verify(a.keys.Board.Parties[from].Sig, storedMsg(a.inst, a.dealCmt.Bytes()), s) {
+	if err != nil || !a.keys.VerifySig(from, storedMsg(a.inst, a.dealCmt.Bytes()), s) {
 		a.rt.Reject()
 		return
 	}
@@ -326,7 +332,7 @@ func (a *AVSS) tryEcho(m *cipherMsg) {
 		a.rt.Reject()
 		return
 	}
-	if !sig.VerifyQuorum(a.keys.Board.SigKeys(), storedMsg(a.inst, m.cmtB), &m.quorum, a.rt.N()-a.rt.F()) {
+	if !a.keys.VerifyQuorum(storedMsg(a.inst, m.cmtB), &m.quorum, a.rt.N()-a.rt.F()) {
 		a.rt.Reject()
 		return
 	}
@@ -437,28 +443,48 @@ func (a *AVSS) onKeyRec(from int, rd *wire.Reader) {
 	}
 	shA, errA := field.SetCanonical(shAB)
 	shB, errB := field.SetCanonical(shBB)
-	if errA != nil || errB != nil || !a.cmt.VerifyShare(from, shA, shB) {
+	if errA != nil || errB != nil || !a.verifyKeyRec(from, shA, shB) {
 		a.rt.Reject()
 		return
 	}
-	a.phi[from] = poly.Share{Index: from, Value: shA}
+	a.phi[from] = keyShare{a: shA, b: shB}
 	if len(a.phi) == a.rt.F()+1 && !a.keySent {
 		// Sorted party order: interpolation is subset-exact either way, but
 		// map-order assembly would make replays of the same seed diverge.
-		shares := make([]poly.Share, 0, len(a.phi))
+		sharesA := make([]poly.Share, 0, len(a.phi))
+		sharesB := make([]poly.Share, 0, len(a.phi))
 		for _, j := range order.SortedKeys(a.phi) {
-			shares = append(shares, a.phi[j])
+			sharesA = append(sharesA, poly.Share{Index: j, Value: a.phi[j].a})
+			sharesB = append(sharesB, poly.Share{Index: j, Value: a.phi[j].b})
 		}
-		key, err := poly.InterpolateSecret(shares)
-		if err != nil {
+		recA, errA := poly.Interpolate(sharesA)
+		recB, errB := poly.Interpolate(sharesB)
+		if errA != nil || errB != nil {
 			return
 		}
+		a.recA, a.recB, a.haveRec = recA, recB, true
 		a.keySent = true
 		var w wire.Writer
 		w.Byte(msgKey)
-		w.Bytes32(key.Bytes())
+		w.Bytes32(recA.Secret().Bytes())
 		a.rt.Multicast(a.inst, w.Bytes())
 	}
+}
+
+// verifyKeyRec checks a KeyRec share pair against the commitment. The
+// first f+1 pairs pay the full Pedersen check. After that A and B are
+// pinned: the degree-f commitment agrees with g^{A(x)}·h^{B(x)} at f+1
+// points, hence everywhere, so a pair passes VerifyShare iff
+// g^a·h^b = g^{A(ω)}·h^{B(ω)}. By Pedersen binding that holds iff
+// (a, b) = (A(ω), B(ω)) unless the sender knows log_g h, so comparing
+// against the interpolated polynomials gives VerifyShare's verdict with
+// field arithmetic only.
+func (a *AVSS) verifyKeyRec(from int, shA, shB field.Scalar) bool {
+	if !a.haveRec {
+		return a.cmt.VerifyShare(from, shA, shB)
+	}
+	x := poly.X(from)
+	return shA.Equal(a.recA.Eval(x)) && shB.Equal(a.recB.Eval(x))
 }
 
 // onKey is Alg. 2 lines 12–13.

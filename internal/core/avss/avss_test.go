@@ -2,11 +2,14 @@ package avss
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"repro/internal/crypto/field"
+	"repro/internal/crypto/pedersen"
 	"repro/internal/crypto/poly"
 	"repro/internal/harness"
+	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -265,5 +268,103 @@ func TestCommunicationQuadratic(t *testing.T) {
 	ratio := float64(b10) / float64(b4)
 	if ratio > 11 {
 		t.Fatalf("AVSS growth 4→10 is %.1f×, larger than quadratic", ratio)
+	}
+}
+
+// recStub is a minimal single-party runtime for driving onKeyRec directly.
+type recStub struct {
+	n, f, self int
+	rejects    int
+	sent       [][]byte
+}
+
+func (s *recStub) N() int                          { return s.n }
+func (s *recStub) F() int                          { return s.f }
+func (s *recStub) Self() int                       { return s.self }
+func (s *recStub) Depth() int                      { return 0 }
+func (s *recStub) RandReader() *rand.Rand          { return rand.New(rand.NewSource(1)) }
+func (s *recStub) Register(string, proto.Handler)  {}
+func (s *recStub) Send(string, int, []byte)        {}
+func (s *recStub) Multicast(_ string, body []byte) { s.sent = append(s.sent, body) }
+func (s *recStub) Reject()                         { s.rejects++ }
+func (s *recStub) Equivocation()                   {}
+
+func keyRecBody(a, b field.Scalar) []byte {
+	var w wire.Writer
+	w.Byte(msgKeyRec)
+	w.Bytes32(a.Bytes())
+	w.Bytes32(b.Bytes())
+	return w.Bytes()
+}
+
+// TestLateKeyRecMatchesVerifyShare: after f+1 KeyRec shares verified
+// against the commitment, later shares are checked against the
+// interpolated A and B. That verdict must equal Pedersen VerifyShare on
+// valid shares, random shares, a correct A-share with a wrong B-share (and
+// the reverse), and duplicates — so Reject counts are unchanged.
+func TestLateKeyRecMatchesVerifyShare(t *testing.T) {
+	const n, f = 16, 5
+	r := rand.New(rand.NewSource(41))
+	pa, err := poly.Random(r, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := poly.Random(r, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmt, err := pedersen.Commit(pa, pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := &recStub{n: n, f: f}
+	a := New(rt, "avss", nil, 0, nil, nil)
+	a.cmt, a.hasShare = cmt, true
+	share := func(j int) (field.Scalar, field.Scalar) { return pa.Eval(poly.X(j)), pb.Eval(poly.X(j)) }
+
+	// feed delivers one KeyRec and checks its verdict against VerifyShare
+	// (a duplicate of an accepted share is ignored, never rejected).
+	feed := func(name string, from int, sa, sb field.Scalar) {
+		t.Helper()
+		_, dup := a.phi[from]
+		want := dup || cmt.VerifyShare(from, sa, sb)
+		before := rt.rejects
+		a.Handle(from, keyRecBody(sa, sb))
+		if got := rt.rejects == before; got != want {
+			t.Fatalf("%s (from %d): accepted=%v, VerifyShare verdict %v", name, from, got, want)
+		}
+	}
+	for j := 0; j <= f; j++ {
+		sa, sb := share(j)
+		feed("early valid", j, sa, sb)
+	}
+	if !a.haveRec || len(rt.sent) != 1 {
+		t.Fatalf("after f+1 shares: haveRec=%v, %d Key multicasts", a.haveRec, len(rt.sent))
+	}
+	rd := wire.NewReader(rt.sent[0])
+	if rd.Byte() != msgKey || !bytes.Equal(rd.Bytes32(), pa.Secret().Bytes()) {
+		t.Fatal("Key message does not carry A(0)")
+	}
+
+	for j := f + 1; j < n; j++ {
+		sa, sb := share(j)
+		one := field.One()
+		feed("random", j, field.MustRandom(r), field.MustRandom(r))
+		feed("correct a, wrong b", j, sa, sb.Add(one))
+		feed("wrong a, correct b", j, sa.Add(one), sb)
+		feed("swapped", j, sb, sa)
+		feed("valid", j, sa, sb)
+		feed("duplicate valid", j, sa, sb)
+		feed("duplicate garbage", j, field.MustRandom(r), sb)
+	}
+	for j := 0; j <= f; j++ {
+		sa, sb := share(j)
+		feed("duplicate early", j, sa, sb.Add(field.One()))
+	}
+	if len(a.phi) != n {
+		t.Fatalf("phi holds %d shares, want %d", len(a.phi), n)
+	}
+	if want := 4 * (n - f - 1); rt.rejects != want {
+		t.Fatalf("%d rejects, want %d", rt.rejects, want)
 	}
 }

@@ -132,9 +132,7 @@ func (c *Coin) Start() {
 	c.started = true
 	if c.cfg.GenesisNonce != nil {
 		// Adaptive variant: every seed is the genesis nonce.
-		var sd [seeding.SeedSize]byte
-		h := seedHash(c.cfg.GenesisNonce)
-		copy(sd[:], h)
+		sd := GenesisSeed(c.cfg.GenesisNonce)
 		for j := 0; j < c.rt.N(); j++ {
 			c.deliverSeed(j, sd)
 		}
@@ -171,12 +169,15 @@ func (c *Coin) OnSeed(fn func(j int, seed [seeding.SeedSize]byte)) {
 	}
 }
 
-// vrfInput binds the VRF evaluation to the session and the seed
+// VRFInput binds the VRF evaluation to the session and the seed
 // (VRF.Eval_i^ID(seed_i) in the paper).
-func (c *Coin) VRFInput(seed [seeding.SeedSize]byte) []byte {
-	in := make([]byte, 0, len(c.inst)+seeding.SeedSize+8)
+func (c *Coin) VRFInput(seed [seeding.SeedSize]byte) []byte { return VRFInputFor(c.inst, seed) }
+
+// VRFInputFor is the VRF input of coin instance inst on the given seed.
+func VRFInputFor(inst string, seed [seeding.SeedSize]byte) []byte {
+	in := make([]byte, 0, len(inst)+seeding.SeedSize+8)
 	in = append(in, "coin/vrf"...)
-	in = append(in, c.inst...)
+	in = append(in, inst...)
 	in = append(in, seed[:]...)
 	return in
 }
@@ -450,4 +451,11 @@ func seedHash(nonce []byte) []byte {
 	h.Write([]byte("coin/genesis"))
 	h.Write(nonce)
 	return h.Sum(nil)
+}
+
+// GenesisSeed is every party's seed under a genesis nonce.
+func GenesisSeed(nonce []byte) [seeding.SeedSize]byte {
+	var sd [seeding.SeedSize]byte
+	copy(sd[:], seedHash(nonce))
+	return sd
 }

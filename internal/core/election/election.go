@@ -305,10 +305,39 @@ func (e *Election) maybeFinish() {
 		return // keep waiting for G to grow (Alg. 5 line 15)
 	}
 	e.done = true
-	idx := new(big.Int).SetBytes(win.value[:])
-	idx.Mod(idx, big.NewInt(int64(e.rt.N())))
 	e.out(Result{
-		Leader: int(idx.Int64()),
+		Leader: leaderOf(win.value, e.rt.N()),
 		Winner: &coin.Candidate{Leader: win.leader, Value: win.value, Proof: win.proof},
 	})
+}
+
+// leaderOf maps a winning VRF value to its leader index, value mod n.
+func leaderOf(v vrf.Output, n int) int {
+	idx := new(big.Int).SetBytes(v[:])
+	idx.Mod(idx, big.NewInt(int64(n)))
+	return int(idx.Int64())
+}
+
+// GenesisLeaders returns every leader an election instance inst can elect
+// by winning VRF (Result.ByDefault false) when all parties are honest and
+// the coin runs on a genesis nonce. The set follows from Alg. 5's
+// structure, not from any one schedule: the winner is some party's
+// speculative largest VRF, the largest over a reconstructed core set of at
+// least n−f evaluations, so it ranks among the f+1 largest of the n
+// evaluations on the nonce. Which of those a run elects depends on which
+// dealers the schedule lets into the core sets, so two schedules of one
+// seed may legitimately elect different leaders; agreement within a run
+// is what Theorem 5 pins.
+func GenesisLeaders(inst string, keys []*pki.Keyring, f int, nonce []byte) map[int]bool {
+	input := coin.VRFInputFor(inst+"/c", coin.GenesisSeed(nonce))
+	outs := make([]vrf.Output, len(keys))
+	for j, k := range keys {
+		outs[j], _ = k.VRF.Eval(input)
+	}
+	sort.Slice(outs, func(a, b int) bool { return outs[b].Less(outs[a]) })
+	leaders := make(map[int]bool, f+1)
+	for _, v := range outs[:f+1] {
+		leaders[leaderOf(v, len(keys))] = true
+	}
+	return leaders
 }

@@ -198,3 +198,43 @@ func TestElectionMixedBotsStillElects(t *testing.T) {
 	}
 	fx.checkAgreement(t)
 }
+
+// TestLeaderDependsOnScheduleWithinGenesisLeaders: Alg. 5 pins agreement
+// within a run, not the leader across schedules. With keys, seed and nonce
+// fixed, different message schedules elect different leaders, and every
+// one of them is among GenesisLeaders — the leaders of the f+1 largest
+// VRF evaluations.
+func TestLeaderDependsOnScheduleWithinGenesisLeaders(t *testing.T) {
+	const n, f, seed = 4, 1, 21
+	scheds := []sim.Scheduler{sim.RandomScheduler(), sim.FIFOScheduler()}
+	for slow := 0; slow < n; slow++ {
+		scheds = append(scheds, sim.DelayScheduler{Slow: map[int]bool{slow: true}, Bias: 0.9})
+	}
+	var allowed map[int]bool
+	elected := map[int]bool{}
+	for k, sc := range scheds {
+		fx := setup(t, n, f, seed, genesisCfg(), harness.Options{Scheduler: sc})
+		if allowed == nil {
+			allowed = GenesisLeaders("e", fx.c.Keys, f, coinCfgGenesis().GenesisNonce)
+			if len(allowed) < 1 || len(allowed) > f+1 {
+				t.Fatalf("GenesisLeaders = %v, want 1..%d leaders", allowed, f+1)
+			}
+		}
+		fx.startAll()
+		if err := fx.c.Net.Run(80_000_000, func() bool { return len(fx.res) == n }); err != nil {
+			t.Fatalf("schedule %d: %v", k, err)
+		}
+		r := fx.checkAgreement(t)
+		if r.ByDefault {
+			continue
+		}
+		if !allowed[r.Leader] {
+			t.Fatalf("schedule %d elected %d, outside GenesisLeaders %v", k, r.Leader, allowed)
+		}
+		elected[r.Leader] = true
+	}
+	t.Logf("GenesisLeaders %v, elected across schedules %v", allowed, elected)
+	if len(elected) < 2 {
+		t.Fatalf("every schedule elected the same leader %v; the test no longer shows schedule dependence", elected)
+	}
+}

@@ -260,7 +260,7 @@ func (s *Seeding) onStored(from int, rd *wire.Reader) {
 		return
 	}
 	sg, err := sig.SignatureFromBytes(sb)
-	if err != nil || !sig.Verify(s.keys.Board.Parties[from].Sig, storedMsg(s.inst, s.agg.Bytes()), sg) {
+	if err != nil || !s.keys.VerifySig(from, storedMsg(s.inst, s.agg.Bytes()), sg) {
 		s.rt.Reject()
 		return
 	}
@@ -284,7 +284,7 @@ func (s *Seeding) onCommit(from int, rd *wire.Reader) {
 	if s.shareSent || s.recorded == nil {
 		return
 	}
-	if !sig.VerifyQuorum(s.keys.Board.SigKeys(), storedMsg(s.inst, s.recordedB), &q, 2*s.rt.F()+1) {
+	if !s.keys.VerifyQuorum(storedMsg(s.inst, s.recordedB), &q, 2*s.rt.F()+1) {
 		s.rt.Reject()
 		return
 	}
@@ -345,7 +345,7 @@ func (s *Seeding) onSeed(from int, rd *wire.Reader) {
 		s.rt.Reject()
 		return
 	}
-	if !sig.VerifyQuorum(s.keys.Board.SigKeys(), storedMsg(s.inst, s.recordedB), &q, 2*s.rt.F()+1) {
+	if !s.keys.VerifyQuorum(storedMsg(s.inst, s.recordedB), &q, 2*s.rt.F()+1) {
 		s.rt.Reject()
 		return
 	}

@@ -379,7 +379,7 @@ func (v *VBA) onPBSend(from int, raw []byte, rd *wire.Reader) {
 			v.rt.Reject()
 			return
 		}
-		if !sig.VerifyQuorum(v.keys.Board.SigKeys(), v.ackMsg(view, from, stage-1, vh), &cert, v.rt.N()-v.rt.F()) {
+		if !v.keys.VerifyQuorum(v.ackMsg(view, from, stage-1, vh), &cert, v.rt.N()-v.rt.F()) {
 			v.rt.Reject()
 			return
 		}
@@ -407,7 +407,7 @@ func (v *VBA) validKey(kView, kLeader, kStage int, vh []byte, cert *sig.Quorum, 
 	if !ok || el != kLeader {
 		return false
 	}
-	return sig.VerifyQuorum(v.keys.Board.SigKeys(), v.ackMsg(kView, kLeader, kStage, vh), cert, v.rt.N()-v.rt.F())
+	return v.keys.VerifyQuorum(v.ackMsg(kView, kLeader, kStage, vh), cert, v.rt.N()-v.rt.F())
 }
 
 // lockRuleOK is the HotStuff-style unlocking rule: accept when we hold no
@@ -445,7 +445,7 @@ func (v *VBA) onPBAck(from int, rd *wire.Reader) {
 		return
 	}
 	s, err := sig.SignatureFromBytes(sb)
-	if err != nil || !sig.Verify(v.keys.Board.Parties[from].Sig,
+	if err != nil || !v.keys.VerifySig(from,
 		v.ackMsg(view, v.rt.Self(), stage, valueHash(vs.myValue)), s) {
 		v.rt.Reject()
 		return
@@ -489,7 +489,7 @@ func (v *VBA) onDone(from int, raw []byte, rd *wire.Reader) {
 	if vs.doneSet[from] {
 		return
 	}
-	if !sig.VerifyQuorum(v.keys.Board.SigKeys(), v.ackMsg(view, from, 4, valueHash(value)), &cert, v.rt.N()-v.rt.F()) {
+	if !v.keys.VerifyQuorum(v.ackMsg(view, from, 4, valueHash(value)), &cert, v.rt.N()-v.rt.F()) {
 		v.rt.Reject()
 		return
 	}
@@ -595,8 +595,7 @@ func (v *VBA) onViewChange(from int, raw []byte, rd *wire.Reader) {
 			v.rt.Reject()
 			return
 		}
-		if !sig.VerifyQuorum(v.keys.Board.SigKeys(),
-			v.ackMsg(view, *vs.leader, stage, valueHash(value)), &cert, v.rt.N()-v.rt.F()) {
+		if !v.keys.VerifyQuorum(v.ackMsg(view, *vs.leader, stage, valueHash(value)), &cert, v.rt.N()-v.rt.F()) {
 			v.rt.Reject()
 			return
 		}
@@ -698,8 +697,7 @@ func (v *VBA) onDecide(from int, rd *wire.Reader) {
 		v.rt.Reject()
 		return
 	}
-	if !sig.VerifyQuorum(v.keys.Board.SigKeys(),
-		v.ackMsg(view, leader, stage, valueHash(value)), &cert, v.rt.N()-v.rt.F()) {
+	if !v.keys.VerifyQuorum(v.ackMsg(view, leader, stage, valueHash(value)), &cert, v.rt.N()-v.rt.F()) {
 		v.rt.Reject()
 		return
 	}

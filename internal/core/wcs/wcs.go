@@ -125,7 +125,7 @@ func (w *WCS) Handle(from int, body []byte) {
 			return
 		}
 		s, err := sig.SignatureFromBytes(sb)
-		if err != nil || !sig.Verify(w.keys.Board.Parties[from].Sig, sigMsg(w.inst, w.snapB), s) {
+		if err != nil || !w.keys.VerifySig(from, sigMsg(w.inst, w.snapB), s) {
 			w.rt.Reject()
 			return
 		}
@@ -148,7 +148,7 @@ func (w *WCS) Handle(from int, body []byte) {
 		if w.done {
 			return
 		}
-		if !sig.VerifyQuorum(w.keys.Board.SigKeys(), sigMsg(w.inst, setB), &q, w.rt.N()-w.rt.F()) {
+		if !w.keys.VerifyQuorum(sigMsg(w.inst, setB), &q, w.rt.N()-w.rt.F()) {
 			w.rt.Reject()
 			return
 		}

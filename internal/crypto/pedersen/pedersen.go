@@ -41,9 +41,14 @@ func (c Commitment) Degree() int { return len(c.C) - 1 }
 
 // Eval computes Π_k c_k^{x^k}, the commitment to (A(x), B(x)).
 func (c Commitment) Eval(x field.Scalar) group.Point {
-	acc := group.Point{}
-	pow := field.One()
-	for _, ck := range c.C {
+	if len(c.C) == 0 {
+		return group.Point{}
+	}
+	// c_0^{x^0} is c_0 itself: start there rather than paying a scalar
+	// multiplication by one.
+	acc := c.C[0]
+	pow := x
+	for _, ck := range c.C[1:] {
 		acc = acc.Add(ck.Mul(pow))
 		pow = pow.Mul(x)
 	}

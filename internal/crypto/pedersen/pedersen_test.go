@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/crypto/field"
+	"repro/internal/crypto/group"
 	"repro/internal/crypto/poly"
 )
 
@@ -117,5 +118,25 @@ func TestEqual(t *testing.T) {
 	}
 	if !c1.Equal(c1) {
 		t.Fatal("commitment not equal to itself")
+	}
+}
+
+// TestEvalMatchesCommittedPair: Eval(x) is the commitment to (A(x), B(x))
+// at every x, including x = 0 (where only c_0 contributes) and the
+// degree-0 commitment.
+func TestEvalMatchesCommittedPair(t *testing.T) {
+	r := testRand(9)
+	h := group.SecondGenerator()
+	for _, deg := range []int{0, 1, 4} {
+		a, b, c := commitPair(t, r, deg)
+		for _, x := range []field.Scalar{field.Zero(), field.One(), field.MustRandom(r)} {
+			want := group.BaseMul(a.Eval(x)).Add(h.Mul(b.Eval(x)))
+			if !c.Eval(x).Equal(want) {
+				t.Fatalf("deg %d: Eval(%v) differs from g^A(x)·h^B(x)", deg, x)
+			}
+		}
+	}
+	if !(Commitment{}).Eval(field.One()).IsIdentity() {
+		t.Fatal("empty commitment must evaluate to the identity")
 	}
 }

@@ -138,6 +138,12 @@ func (q *Quorum) Len() int { return len(q.Indices) }
 // VerifyQuorum checks that q holds at least threshold valid signatures on
 // msg from distinct parties whose keys appear in pks.
 func VerifyQuorum(pks []PublicKey, msg []byte, q *Quorum, threshold int) bool {
+	return verifyQuorum(pks, msg, q, threshold, Verify)
+}
+
+// verifyQuorum is the one quorum loop: verify checks each member signature
+// (directly, or through a party's Memo).
+func verifyQuorum(pks []PublicKey, msg []byte, q *Quorum, threshold int, verify func(PublicKey, []byte, Signature) bool) bool {
 	if q == nil || q.Len() < threshold || len(q.Sigs) != len(q.Indices) {
 		return false
 	}
@@ -147,7 +153,7 @@ func VerifyQuorum(pks []PublicKey, msg []byte, q *Quorum, threshold int) bool {
 			return false
 		}
 		seen[idx] = true
-		if !Verify(pks[idx], msg, q.Sigs[i]) {
+		if !verify(pks[idx], msg, q.Sigs[i]) {
 			return false
 		}
 	}

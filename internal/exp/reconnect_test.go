@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core/election"
 	"repro/internal/harness"
 	"repro/internal/livenet"
 )
@@ -17,8 +18,12 @@ import (
 // TestTCPVBASurvivesSeverAndMatchesSim kills a live inter-node connection
 // while a VBA is in flight on real TCP loopback. The transport must redial
 // and resync so the instance still decides the (validity-pinned) value,
-// and a follow-up election on the same healed cluster must elect the same
-// leader as the simulator run from the same seed.
+// and a follow-up election on the same healed cluster must agree and, like
+// the simulator run from the same seed, elect a leader Alg. 5 allows for
+// that seed. The leader itself is not seed-pinned: it is the largest VRF
+// among the dealers the schedule admits to the core sets, so the live run
+// and the simulator may legitimately elect different members of
+// election.GenesisLeaders.
 func TestTCPVBASurvivesSeverAndMatchesSim(t *testing.T) {
 	const n, f = 4, 1
 	const seed = 90
@@ -76,16 +81,24 @@ func TestTCPVBASurvivesSeverAndMatchesSim(t *testing.T) {
 		t.Fatalf("live decided %q, sim decided %q", liveVBA.Value, simVBA.Value)
 	}
 
-	// The healed cluster must keep producing sim-identical seed-pinned
-	// outcomes: same election leader as the simulator.
+	// The healed cluster must keep producing outcomes Alg. 5 allows: an
+	// agreed leader from the seed's GenesisLeaders (or the default), as
+	// the simulator elects.
 	le := LaunchPaperElection(live, "ke", genesis)
 	if err := le.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 	liveEl := le.Outcome()
-	if liveEl.Leader != simEl.Leader || liveEl.ByDefault != simEl.ByDefault {
-		t.Fatalf("post-reconnect election diverged: live (%d, byDefault=%v), sim (%d, byDefault=%v)",
-			liveEl.Leader, liveEl.ByDefault, simEl.Leader, simEl.ByDefault)
+	leaders := election.GenesisLeaders("ke", sim.Keys, f, genesis)
+	allowed := func(o ElectionOutcome) bool {
+		if o.ByDefault {
+			return o.Leader == 0
+		}
+		return leaders[o.Leader]
+	}
+	if !liveEl.Agreed || !allowed(liveEl) || !allowed(simEl) {
+		t.Fatalf("post-reconnect election: live (%d, byDefault=%v, agreed=%v), sim (%d, byDefault=%v); Alg. 5 allows %v or the default",
+			liveEl.Leader, liveEl.ByDefault, liveEl.Agreed, simEl.Leader, simEl.ByDefault, leaders)
 	}
 
 	st := live.TCPStats()

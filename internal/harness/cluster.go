@@ -184,6 +184,21 @@ func (c *Cluster) Close() {
 	}
 }
 
+// Retire releases a finished instance tag (or any instance path prefix)
+// on the live runtimes: every node drops the handlers under it, tombstones
+// it so stragglers are dropped, and the traffic tallies under it fold into
+// one entry. Call it only once every honest party has produced its output
+// for the prefix — nothing a party still needs can then arrive under it.
+// On the simulator it is a no-op: the simulator is the deterministic
+// oracle, and dropping post-output protocol tails there would change the
+// delivery order of every instance still running, and with it the
+// committed trajectories.
+func (c *Cluster) Retire(prefix string) {
+	if c.Live != nil {
+		c.Live.Retire(prefix)
+	}
+}
+
 // InstanceTally reports the traffic of one instance tag (the tag's own path
 // plus every tag/… sub-path) — honest traffic on the simulator, all traffic
 // on the live runtime (which has no Byzantine senders).

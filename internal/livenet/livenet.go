@@ -147,6 +147,30 @@ func (nw *Network) ByInstance(tag string) Tally {
 	return out
 }
 
+// Retire releases a finished instance prefix on every node (Node.Retire)
+// and folds the prefix's per-path traffic tallies into one entry under the
+// prefix, so ByInstance of the prefix or any ancestor is unchanged while
+// the tally map stops growing with every instance ever run. Sub-paths of a
+// retired prefix no longer report separately.
+func (nw *Network) Retire(prefix string) {
+	for _, nd := range nw.nodes {
+		nd.Retire(prefix)
+	}
+	nw.mmu.Lock()
+	defer nw.mmu.Unlock()
+	var sum Tally
+	for inst, t := range nw.perInst {
+		if underPrefix(inst, prefix) {
+			sum.Msgs += t.Msgs
+			sum.Bytes += t.Bytes
+			delete(nw.perInst, inst)
+		}
+	}
+	if sum != (Tally{}) {
+		nw.perInst[prefix] = &sum
+	}
+}
+
 type transport interface {
 	send(from, to int, inst string, body []byte)
 	// flush pushes any frames buffered on node `from`'s outbound
@@ -190,7 +214,7 @@ type Node struct {
 	queue      []task
 	insts      map[string]proto.Handler
 	pending    map[string][]task
-	tombstones []string
+	tombstones map[string]struct{} // retired instance path prefixes
 	closed     bool
 
 	// journal, when set (before the transport connects), observes every
@@ -209,6 +233,22 @@ type Node struct {
 
 var _ proto.Runtime = (*Node)(nil)
 
+// newNode builds party idx's dispatcher state (not yet running). The RNG
+// derivation is shared by both deployment shapes, so runs seeded alike
+// draw alike whether the node lives in a Network or a Party.
+func newNode(env nodeEnv, idx int, seed int64) *Node {
+	nd := &Node{
+		env:        env,
+		idx:        idx,
+		insts:      make(map[string]proto.Handler),
+		pending:    make(map[string][]task),
+		tombstones: make(map[string]struct{}),
+		rng:        rand.New(rand.NewSource(seed*7_368_787 + int64(idx))),
+	}
+	nd.cond = sync.NewCond(&nd.mu)
+	return nd
+}
+
 // New starts a live network with running dispatchers.
 func New(cfg Config) (*Network, error) {
 	if cfg.N <= 0 {
@@ -221,15 +261,7 @@ func New(cfg Config) (*Network, error) {
 		perInst: make(map[string]*Tally),
 	}
 	for i := 0; i < cfg.N; i++ {
-		nd := &Node{
-			env:     nw,
-			idx:     i,
-			insts:   make(map[string]proto.Handler),
-			pending: make(map[string][]task),
-			rng:     rand.New(rand.NewSource(cfg.Seed*7_368_787 + int64(i))),
-		}
-		nd.cond = sync.NewCond(&nd.mu)
-		nw.nodes = append(nw.nodes, nd)
+		nw.nodes = append(nw.nodes, newNode(nw, i, cfg.Seed))
 	}
 	switch cfg.Transport {
 	case Channels:
@@ -430,10 +462,16 @@ func (nd *Node) Reject() { nd.rejected.Add(1) }
 // Equivocation counts conflicting-message evidence against a sender.
 func (nd *Node) Equivocation() { nd.equivocations.Add(1) }
 
-// Register installs a handler and replays buffered messages for it.
+// Register installs a handler and replays buffered messages for it. A
+// path under a retired prefix is not installed: a finished instance's
+// late sub-protocol (registered by a handler that was mid-run when the
+// prefix retired) would never receive a message anyway.
 func (nd *Node) Register(inst string, h proto.Handler) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
+	if nd.tombstonedLocked(inst) {
+		return
+	}
 	if _, dup := nd.insts[inst]; dup {
 		panic(fmt.Sprintf("livenet: node %d: duplicate instance %q", nd.idx, inst))
 	}
@@ -490,19 +528,28 @@ func (nd *Node) SetJournal(fn func(from int, seq uint64, inst string, body []byt
 	nd.journal = fn
 }
 
-// Tombstone marks an instance path prefix as retired by a compaction
-// snapshot: straggler frames for it (or any sub-path) are journaled — so
-// the recv cursor advances past them and they can be acked — and dropped
-// instead of parking forever waiting for a handler that will never
-// re-register.
-func (nd *Node) Tombstone(prefix string) {
+// Retire releases a finished instance path prefix: the handlers of the
+// prefix and of every sub-path are dropped (so the node no longer holds
+// their protocol state), and the prefix is tombstoned. Straggler frames
+// for it are journaled — so the recv cursor advances past them and they
+// can be acked — and dropped instead of parking forever waiting for a
+// handler that will never re-register. Callers retire a prefix only once
+// no party needs this node's further participation in it: a compaction
+// snapshot absorbed it (noded), or every honest party has output (the
+// in-process harness).
+func (nd *Node) Retire(prefix string) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	nd.tombstones = append(nd.tombstones, prefix)
+	nd.tombstones[prefix] = struct{}{}
+	for inst := range nd.insts {
+		if underPrefix(inst, prefix) {
+			delete(nd.insts, inst)
+		}
+	}
 	// Frames already parked under the prefix are retired the same way on
 	// their next dispatch; re-queue them so that happens promptly.
 	for inst, buf := range nd.pending {
-		if inst == prefix || strings.HasPrefix(inst, prefix+"/") {
+		if underPrefix(inst, prefix) {
 			nd.queue = append(nd.queue, buf...)
 			delete(nd.pending, inst)
 		}
@@ -510,14 +557,36 @@ func (nd *Node) Tombstone(prefix string) {
 	nd.cond.Broadcast()
 }
 
-// tombstonedLocked reports whether inst falls under a retired prefix.
+// underPrefix reports whether inst is prefix itself or one of its
+// /-separated sub-paths.
+func underPrefix(inst, prefix string) bool {
+	return inst == prefix || strings.HasPrefix(inst, prefix) && inst[len(prefix)] == '/'
+}
+
+// tombstonedLocked reports whether inst falls under a retired prefix: the
+// path itself or any of its /-bounded ancestors is tombstoned. Cost is one
+// map probe per path segment, independent of how many prefixes retired.
 func (nd *Node) tombstonedLocked(inst string) bool {
-	for _, p := range nd.tombstones {
-		if inst == p || strings.HasPrefix(inst, p+"/") {
-			return true
+	if len(nd.tombstones) == 0 {
+		return false
+	}
+	for i := 0; i < len(inst); i++ {
+		if inst[i] == '/' {
+			if _, ok := nd.tombstones[inst[:i]]; ok {
+				return true
+			}
 		}
 	}
-	return false
+	_, ok := nd.tombstones[inst]
+	return ok
+}
+
+// Instances reports how many handlers are registered on the node and how
+// many instance paths hold frames parked for a handler not yet registered.
+func (nd *Node) Instances() (handlers, pending int) {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	return len(nd.insts), len(nd.pending)
 }
 
 // Replay re-processes one journaled message on the dispatcher goroutine —

@@ -10,7 +10,6 @@ package livenet
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -106,16 +105,7 @@ func NewParty(cfg PartyConfig) (*Party, error) {
 		f:       cfg.F,
 		perInst: make(map[string]*Tally),
 	}
-	nd := &Node{
-		env:     p,
-		idx:     cfg.Self,
-		insts:   make(map[string]proto.Handler),
-		pending: make(map[string][]task),
-		// Same derivation as Network's per-node RNG so runs seeded alike
-		// draw alike regardless of deployment shape.
-		rng: rand.New(rand.NewSource(cfg.Seed*7_368_787 + int64(cfg.Self))),
-	}
-	nd.cond = sync.NewCond(&nd.mu)
+	nd := newNode(p, cfg.Self, cfg.Seed)
 	if cfg.Journal != nil {
 		nd.SetJournal(cfg.Journal)
 	}

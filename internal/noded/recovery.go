@@ -42,7 +42,7 @@ func (d *Daemon) recoverFromJournal(snap *walSnapshot, items []replayItem) error
 			}
 			inst := &instance{kind: si.Kind, tag: si.Tag, dec: si.Decision, retired: true}
 			d.insts[si.Tag] = inst
-			d.party.Node().Tombstone(si.Tag)
+			d.party.Node().Retire(si.Tag)
 		}
 		for tag, txs := range snap.Leftovers {
 			d.leftovers[tag] = txs
@@ -217,7 +217,7 @@ func (d *Daemon) tryCompact() {
 	for _, in := range insts {
 		if !in.retired {
 			in.retired = true
-			d.party.Node().Tombstone(in.tag)
+			d.party.Node().Retire(in.tag)
 		}
 	}
 	d.mu.Unlock()

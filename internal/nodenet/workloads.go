@@ -7,21 +7,28 @@ package nodenet
 //   - Agreement: every process must report an identical decision (the
 //     protocol's agreement property — gated for every deterministic-output
 //     kind).
-//   - Sim: the decision is reproducible from the seed alone, so it must
-//     also equal an in-process simulator run of the same protocol. Only
-//     validity-pinned workloads qualify: an election's VRF-pinned leader,
-//     a unanimous ABA, a VBA whose proposals all agree. Timing-dependent
-//     outcomes (distinct-proposal VBA, weak coins, ADKG's contributor set)
-//     are compared across processes only.
+//   - Sim: the decision is checked against an in-process simulator run of
+//     the same protocol and seed. Validity-pinned workloads (a unanimous
+//     ABA, a VBA whose proposals all agree) must decide exactly what the
+//     simulator decides. An election is not pinned by its seed: Alg. 5
+//     elects the largest VRF among the dealers the schedule lets into the
+//     core sets, so the process and the simulator must each elect a leader
+//     Alg. 5 allows for the seed (election.GenesisLeaders, or the default
+//     leader) rather than the same one. Other timing-dependent outcomes
+//     (distinct-proposal VBA, weak coins, ADKG's contributor set) are
+//     compared across processes only.
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"time"
 
+	"repro/internal/core/election"
 	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/noded"
+	"repro/internal/pki"
 )
 
 // Workload is one replayable multi-process scenario.
@@ -90,7 +97,7 @@ type WorkloadResult struct {
 	Tag       string            `json:"tag"`
 	Decisions []*noded.Decision `json:"decisions"`
 	Agreed    bool              `json:"agreed"`
-	SimMatch  *bool             `json:"simMatch,omitempty"` // nil when not sim-comparable
+	SimMatch  *bool             `json:"simMatch,omitempty"` // nil when not sim-comparable (see Workload.Sim)
 	ElapsedMS int64             `json:"elapsedMs"`
 }
 
@@ -163,14 +170,44 @@ func (w Workload) Run(cl *Cluster) (*WorkloadResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("workload %s: sim run: %w", w.Name, err)
 		}
-		match := sameDecision(decs[0], simDec)
+		match, err := w.matchesSim(cl.N, cl.F, cl.Seed, decs[0], simDec)
+		if err != nil {
+			return res, fmt.Errorf("workload %s: sim check: %w", w.Name, err)
+		}
 		res.SimMatch = &match
 		if !match {
-			return res, fmt.Errorf("workload %s: process decision %+v != sim decision %+v",
+			return res, fmt.Errorf("workload %s: process decision %+v does not match sim decision %+v",
 				w.Name, decs[0], simDec)
 		}
 	}
 	return res, nil
+}
+
+// matchesSim applies the Sim check (see Workload.Sim): equality for
+// seed-pinned kinds; for an election, both decisions must be leaders Alg. 5
+// can elect under this seed and genesis nonce. The simulator alone elects
+// different leaders for one seed under different schedulers (see
+// election.TestLeaderDependsOnScheduleWithinGenesisLeaders), so equality
+// with one simulator schedule is not a property of the protocol.
+func (w Workload) matchesSim(n, f int, seed int64, proc, simDec *noded.Decision) (bool, error) {
+	if w.Kind != "election" {
+		return sameDecision(proc, simDec), nil
+	}
+	keys, _, err := pki.Setup(n, rand.New(rand.NewSource(seed^KeySeed)))
+	if err != nil {
+		return false, err
+	}
+	leaders := election.GenesisLeaders("wl/"+w.Name, keys, f, []byte(w.Genesis))
+	allowed := func(d *noded.Decision) bool {
+		if d == nil || d.Kind != "election" {
+			return false
+		}
+		if d.ByDefault {
+			return d.Leader == 0
+		}
+		return leaders[d.Leader]
+	}
+	return allowed(proc) && allowed(simDec), nil
 }
 
 // decisionsAgree reports whether every party's decision is identical in

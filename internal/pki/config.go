@@ -158,6 +158,7 @@ func (c *KeyringConfig) Keyring() (*Keyring, error) {
 
 		Verifier: vcache.New(),
 		Scripts:  scache.New(verifypool.New(0)),
+		Sigs:     sig.NewMemo(),
 	}
 	self := board.Parties[c.Self]
 	if !k.Sig.PK.P.Equal(self.Sig.P) || !k.VRF.PK.P.Equal(self.VRF.P) ||

@@ -87,6 +87,24 @@ type Keyring struct {
 	// never re-verify a script any party of the cluster has already
 	// decided. A nil Scripts falls back to raw batched verification.
 	Scripts *scache.Cache
+
+	// Sigs memoizes Schnorr verdicts for THIS party only. Unlike Verifier
+	// and Scripts it is never shared: Setup gives every keyring its own,
+	// so each party pays its own signature checks exactly once, as a
+	// one-party process would. A nil Sigs verifies directly.
+	Sigs *sig.Memo
+}
+
+// VerifySig checks s as party's signature on msg against the key
+// registered on the bulletin board, through this party's verdict memo.
+func (k *Keyring) VerifySig(party int, msg []byte, s sig.Signature) bool {
+	return k.Sigs.Verify(k.Board.Parties[party].Sig, msg, s)
+}
+
+// VerifyQuorum checks that q holds at least threshold valid signatures on
+// msg from distinct registered parties, through this party's verdict memo.
+func (k *Keyring) VerifyQuorum(msg []byte, q *sig.Quorum, threshold int) bool {
+	return k.Sigs.VerifyQuorum(k.Board.SigKeys(), msg, q, threshold)
 }
 
 // VerifyVRF checks that (out, pf) is party's VRF evaluation on input,
@@ -153,7 +171,7 @@ func Setup(n int, rng io.Reader) ([]*Keyring, *Board, error) {
 		board.Parties[i] = Party{Sig: sk.PK, VRF: vk.PK, PVSSEnc: ek, PVSSVK: tk.VK}
 		rings[i] = &Keyring{
 			Self: i, Sig: sk, VRF: vk, PVSSDec: dk, PVSSSig: tk, Board: board,
-			Verifier: verifier, Scripts: scripts,
+			Verifier: verifier, Scripts: scripts, Sigs: sig.NewMemo(),
 		}
 	}
 	return rings, board, nil

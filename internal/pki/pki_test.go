@@ -7,6 +7,7 @@ import (
 	"repro/internal/crypto/field"
 	"repro/internal/crypto/pairing"
 	"repro/internal/crypto/pvss"
+	"repro/internal/crypto/sig"
 	"repro/internal/crypto/vrf"
 )
 
@@ -210,5 +211,50 @@ func TestKeyringSharedScriptCache(t *testing.T) {
 	bad.U2 = bad.U2.Mul(pairing.G2Generator().Exp(field.MustRandom(rng)))
 	if bare.VerifyScript(p, bad) || rings[3].VerifyScript(p, bad) {
 		t.Fatal("mauled script accepted")
+	}
+}
+
+// TestKeyringSignatureMemoIsPerParty: unlike the VRF and script caches,
+// every keyring owns its own signature memo, so one party's checks never
+// warm another's; verdicts through VerifySig/VerifyQuorum match the raw
+// ones, and a re-registered signature key misses the old verdict.
+func TestKeyringSignatureMemoIsPerParty(t *testing.T) {
+	rings, board, err := Setup(4, rand.New(rand.NewSource(12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[*sig.Memo]bool{}
+	for _, k := range rings {
+		if k.Sigs == nil || seen[k.Sigs] {
+			t.Fatal("keyrings must each own a distinct signature memo")
+		}
+		seen[k.Sigs] = true
+	}
+	msg := []byte("per-party")
+	var q sig.Quorum
+	for i := 0; i < 3; i++ {
+		q.Add(i, rings[i].Sig.Sign(msg))
+	}
+	for round := 0; round < 2; round++ {
+		if !rings[0].VerifyQuorum(msg, &q, 3) || rings[0].VerifyQuorum(msg, &q, 4) {
+			t.Fatal("quorum verdicts differ from raw VerifyQuorum")
+		}
+		if !rings[0].VerifySig(1, msg, q.Sigs[1]) || rings[0].VerifySig(2, msg, q.Sigs[1]) {
+			t.Fatal("signature verdicts differ from raw Verify")
+		}
+	}
+	if st := rings[0].Sigs.Stats(); st.Verifies != 4 || st.Hits == 0 {
+		t.Fatalf("party 0 memo stats %+v, want 4 cold verifies and repeat hits", st)
+	}
+	if st := rings[1].Sigs.Stats(); st.Lookups != 0 {
+		t.Fatalf("party 1 memo saw party 0's lookups: %+v", st)
+	}
+	board.Parties[1].Sig = rings[3].Sig.PK // re-register slot 1
+	if rings[0].VerifySig(1, msg, q.Sigs[1]) || rings[0].VerifyQuorum(msg, &q, 3) {
+		t.Fatal("stale verdict after signature key re-registration")
+	}
+	bare := &Keyring{Board: board}
+	if !bare.VerifySig(0, msg, q.Sigs[0]) {
+		t.Fatal("nil-memo keyring rejected a valid signature")
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/proto"
 )
@@ -22,8 +23,9 @@ type Driver struct {
 	// DefaultDeliveryBudget.
 	Budget int64
 
-	semOnce sync.Once
-	sem     chan struct{} // the drive token; see lock()
+	semOnce   sync.Once
+	sem       chan struct{} // the drive token; see lock()
+	launchers atomic.Int32  // Launch calls waiting for the token
 }
 
 // NewDriver wraps nw as a session driver.
@@ -44,8 +46,12 @@ func (d *Driver) Runtime(i int) proto.Runtime { return d.Net.Node(i) }
 
 // Launch runs fn in node i's dispatch context — inline, under the drive
 // token, so instance wiring cannot interleave with a concurrent Await step.
+// A concurrent Await hands the token over between two deliveries (see
+// Await), so a Launch never waits for another goroutine's predicate.
 func (d *Driver) Launch(_ int, fn func()) {
+	d.launchers.Add(1)
 	d.lock()
+	d.launchers.Add(-1)
 	defer d.unlock()
 	fn()
 }
@@ -79,5 +85,15 @@ func (d *Driver) Await(ctx context.Context, done func() bool) error {
 			return d.Net.stall(false, budget)
 		}
 		d.Net.Step()
+		if d.launchers.Load() > 0 {
+			// Yield to a queued Launch between deliveries. Holding the
+			// token until done() would deadlock any predicate that needs
+			// the launched work (a ledger Stop's per-party RequestStop),
+			// and under a starving scheduler the network may never drain
+			// to release it. Releasing the token hands it to the blocked
+			// Launch; re-acquiring then waits for that Launch to finish.
+			d.unlock()
+			d.lock()
+		}
 	}
 }

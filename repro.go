@@ -264,8 +264,10 @@ func (c *Cluster) Stats() Stats {
 // InstanceStats reports the cumulative traffic scoped to one instance tag
 // (the tag's own path plus every sub-protocol under it). Unlike the Stats
 // carried by a handle result — a snapshot taken when Wait returned — this
-// reads the live counters, which keep growing while post-decision protocol
-// tails (e.g. the ABA FINISH gadget) drain on the live runtimes.
+// reads the live counters. On the live runtimes a successful Wait retires
+// the instance (its handlers are released and its stragglers dropped), so
+// post-decision protocol tails (e.g. the ABA FINISH gadget) add only what
+// was already in flight; on the simulator the tails keep draining.
 func (c *Cluster) InstanceStats(tag string) Stats {
 	t := c.hc.InstanceTally(tag)
 	return Stats{Messages: t.Msgs, Bytes: t.Bytes}
@@ -369,6 +371,19 @@ type TransportStats struct {
 	WANLosses int64 // loss→retransmit latency events injected
 }
 
+// instance is what every handle holds besides its launcher: the cluster
+// and tag to release once Wait has seen every honest party's output.
+type instance struct {
+	hc  *harness.Cluster
+	tag string
+}
+
+// retire releases the finished instance's per-node state on the live
+// runtimes (harness.Cluster.Retire; a no-op on the simulator). Safe after a
+// successful Wait: every honest party has already produced its output, so
+// no party needs anything further under the tag.
+func (in instance) retire() { in.hc.Retire(in.tag) }
+
 func stats(s exp.Stats) Stats {
 	return Stats{
 		Messages: s.Msgs, Bytes: s.Bytes, Rounds: s.Rounds,
@@ -385,7 +400,10 @@ type CoinResult struct {
 }
 
 // CoinHandle awaits one common-coin instance.
-type CoinHandle struct{ inst *exp.CoinInstance }
+type CoinHandle struct {
+	instance
+	inst *exp.CoinInstance
+}
 
 // FlipCoin launches one reasonably fair common coin (Alg. 4, Theorem 3)
 // under the given instance tag.
@@ -393,7 +411,7 @@ func (c *Cluster) FlipCoin(tag string) (*CoinHandle, error) {
 	if err := c.claim(tag); err != nil {
 		return nil, err
 	}
-	return &CoinHandle{inst: exp.LaunchPaperCoin(c.hc, tag, c.genesis)}, nil
+	return &CoinHandle{instance{c.hc, tag}, exp.LaunchPaperCoin(c.hc, tag, c.genesis)}, nil
 }
 
 // Wait blocks until every honest party flipped, then reports the outcome.
@@ -402,6 +420,7 @@ func (h *CoinHandle) Wait(ctx context.Context) (CoinResult, error) {
 		return CoinResult{}, err
 	}
 	out := h.inst.Outcome()
+	h.retire()
 	return CoinResult{Bit: out.Bit, Agreed: out.Agreed, Stats: stats(out.Stats)}, nil
 }
 
@@ -413,7 +432,10 @@ type ABAResult struct {
 }
 
 // ABAHandle awaits one binary-agreement instance.
-type ABAHandle struct{ inst *exp.ABAInstance }
+type ABAHandle struct {
+	instance
+	inst *exp.ABAInstance
+}
 
 // DecideBit launches one asynchronous binary agreement driven by the
 // paper's coin (Theorem 4). inputs[i] is party i's bit; len(inputs) must
@@ -425,7 +447,7 @@ func (c *Cluster) DecideBit(tag string, inputs []byte) (*ABAHandle, error) {
 	if err := c.claim(tag); err != nil {
 		return nil, err
 	}
-	return &ABAHandle{inst: exp.LaunchPaperABA(c.hc, tag, inputs, c.genesis)}, nil
+	return &ABAHandle{instance{c.hc, tag}, exp.LaunchPaperABA(c.hc, tag, inputs, c.genesis)}, nil
 }
 
 // Wait blocks until every honest party decided, then reports the outcome.
@@ -437,6 +459,7 @@ func (h *ABAHandle) Wait(ctx context.Context) (ABAResult, error) {
 	if !out.Agreed {
 		return ABAResult{}, errors.New("repro: ABA agreement violated (bug)")
 	}
+	h.retire()
 	return ABAResult{Bit: out.Bit, Rounds: out.MeanRound, Stats: stats(out.Stats)}, nil
 }
 
@@ -448,7 +471,10 @@ type ElectionResult struct {
 }
 
 // ElectionHandle awaits one leader-election instance.
-type ElectionHandle struct{ inst *exp.ElectionInstance }
+type ElectionHandle struct {
+	instance
+	inst *exp.ElectionInstance
+}
 
 // ElectLeader launches one leader election with perfect agreement (Alg. 5,
 // Theorem 5).
@@ -456,7 +482,7 @@ func (c *Cluster) ElectLeader(tag string) (*ElectionHandle, error) {
 	if err := c.claim(tag); err != nil {
 		return nil, err
 	}
-	return &ElectionHandle{inst: exp.LaunchPaperElection(c.hc, tag, c.genesis)}, nil
+	return &ElectionHandle{instance{c.hc, tag}, exp.LaunchPaperElection(c.hc, tag, c.genesis)}, nil
 }
 
 // Wait blocks until every honest party elected, then reports the outcome.
@@ -468,6 +494,7 @@ func (h *ElectionHandle) Wait(ctx context.Context) (ElectionResult, error) {
 	if !out.Agreed {
 		return ElectionResult{}, errors.New("repro: election agreement violated (bug)")
 	}
+	h.retire()
 	return ElectionResult{Leader: out.Leader, ByDefault: out.ByDefault, Stats: stats(out.Stats)}, nil
 }
 
@@ -478,7 +505,10 @@ type VBAResult struct {
 }
 
 // VBAHandle awaits one validated-agreement instance.
-type VBAHandle struct{ inst *exp.VBAInstance }
+type VBAHandle struct {
+	instance
+	inst *exp.VBAInstance
+}
 
 // Agree launches one validated Byzantine agreement (Theorem 6):
 // proposals[i] is party i's input and valid is the external-validity
@@ -502,7 +532,7 @@ func (c *Cluster) Agree(tag string, proposals [][]byte, valid func([]byte) bool)
 	if err := c.claim(tag); err != nil {
 		return nil, err
 	}
-	return &VBAHandle{inst: exp.LaunchPaperVBA(c.hc, tag, proposals, valid, c.genesis)}, nil
+	return &VBAHandle{instance{c.hc, tag}, exp.LaunchPaperVBA(c.hc, tag, proposals, valid, c.genesis)}, nil
 }
 
 // Wait blocks until every honest party decided, then reports the outcome.
@@ -514,6 +544,7 @@ func (h *VBAHandle) Wait(ctx context.Context) (VBAResult, error) {
 	if !out.Agreed {
 		return VBAResult{}, errors.New("repro: VBA agreement violated (bug)")
 	}
+	h.retire()
 	return VBAResult{Value: out.Value, Stats: stats(out.Stats)}, nil
 }
 
@@ -524,7 +555,10 @@ type DKGResult struct {
 }
 
 // DKGHandle awaits one distributed-key-generation instance.
-type DKGHandle struct{ inst *exp.ADKGInstance }
+type DKGHandle struct {
+	instance
+	inst *exp.ADKGInstance
+}
 
 // GenerateKey launches the asynchronous distributed key generation of
 // §7.3: all honest parties end with consistent threshold key material
@@ -533,7 +567,7 @@ func (c *Cluster) GenerateKey(tag string) (*DKGHandle, error) {
 	if err := c.claim(tag); err != nil {
 		return nil, err
 	}
-	return &DKGHandle{inst: exp.LaunchPaperADKG(c.hc, tag, c.genesis)}, nil
+	return &DKGHandle{instance{c.hc, tag}, exp.LaunchPaperADKG(c.hc, tag, c.genesis)}, nil
 }
 
 // Wait blocks until every honest party holds key material.
@@ -545,6 +579,7 @@ func (h *DKGHandle) Wait(ctx context.Context) (DKGResult, error) {
 	if !out.KeysAgree {
 		return DKGResult{}, errors.New("repro: DKG produced inconsistent keys (bug)")
 	}
+	h.retire()
 	return DKGResult{Contributors: out.Contributors, Stats: stats(out.Stats)}, nil
 }
 
@@ -556,7 +591,10 @@ type BeaconResult struct {
 }
 
 // BeaconHandle awaits one multi-epoch beacon instance.
-type BeaconHandle struct{ inst *exp.BeaconInstance }
+type BeaconHandle struct {
+	instance
+	inst *exp.BeaconInstance
+}
 
 // NewBeacon launches the DKG-free asynchronous random beacon of §7.3 for
 // the given number of epochs.
@@ -567,7 +605,7 @@ func (c *Cluster) NewBeacon(tag string, epochs int) (*BeaconHandle, error) {
 	if err := c.claim(tag); err != nil {
 		return nil, err
 	}
-	return &BeaconHandle{inst: exp.LaunchPaperBeacon(c.hc, tag, epochs, c.genesis)}, nil
+	return &BeaconHandle{instance{c.hc, tag}, exp.LaunchPaperBeacon(c.hc, tag, epochs, c.genesis)}, nil
 }
 
 // Wait blocks until every honest party emitted every epoch.
@@ -579,6 +617,7 @@ func (h *BeaconHandle) Wait(ctx context.Context) (BeaconResult, error) {
 	if !out.Agreed {
 		return BeaconResult{}, errors.New("repro: beacon values diverged (bug)")
 	}
+	h.retire()
 	res := BeaconResult{MeanAttempts: out.MeanAttempt, Stats: stats(out.Stats)}
 	for _, v := range out.Values {
 		res.Values = append(res.Values, [16]byte(v))

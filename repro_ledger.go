@@ -85,13 +85,13 @@ type Ledger struct {
 	abortOnce sync.Once
 
 	mu       sync.Mutex
-	logs     map[int][][]abc.Entry // per-party committed slots, in order
+	logs     map[int][][]abc.Entry // per-party committed slots not yet emitted, in order
 	launched map[int]int           // per-party locally launched slot count
 	finished int                   // honest engines that delivered their final slot
 	stopped  bool
 	err      error
 	rr       int // round-robin cursor
-	emitted  int // slots emitted to out (pump-owned; under mu for readers)
+	emitted  int // slots emitted to out and popped from every log (pump-owned; under mu for readers)
 }
 
 // NewLedger starts a streaming atomic-broadcast ledger under tag. The
@@ -232,6 +232,10 @@ func (l *Ledger) Stop(ctx context.Context) ([][]byte, error) {
 	if err := l.Err(); err != nil {
 		return nil, err
 	}
+	// Every honest engine delivered the final slot; slots pipelined past
+	// it are discarded identically everywhere. Nothing under the tag is
+	// needed any more.
+	l.c.hc.Retire(l.tag)
 	var leftover [][]byte
 	for _, p := range l.pools {
 		if p == nil {
@@ -310,12 +314,15 @@ func (l *Ledger) progress() bool {
 
 func (l *Ledger) emittableLocked() bool {
 	for _, i := range l.order {
-		if len(l.logs[i]) <= l.emitted {
+		if len(l.logs[i]) == 0 {
 			return false
 		}
 	}
 	return true
 }
+
+// committedLocked reports how many slots party i has delivered.
+func (l *Ledger) committedLocked(i int) int { return l.emitted + len(l.logs[i]) }
 
 // outstanding reports whether runtime progress is possible without a new
 // kick: an emittable slot, slots in flight past the committed frontier,
@@ -327,7 +334,7 @@ func (l *Ledger) outstanding() bool {
 		return true
 	}
 	for _, i := range l.order {
-		if l.launched[i] > len(l.logs[i]) || !l.pools[i].Empty() {
+		if l.launched[i] > l.committedLocked(i) || !l.pools[i].Empty() {
 			return true
 		}
 	}
@@ -344,7 +351,7 @@ func (l *Ledger) wedged() bool {
 		return true
 	}
 	for _, i := range l.order {
-		if l.launched[i] > len(l.logs[i]) {
+		if l.launched[i] > l.committedLocked(i) {
 			return true
 		}
 	}
@@ -358,10 +365,12 @@ func (l *Ledger) allFinished() bool {
 }
 
 // emitReady relays every fully committed slot to the stream, first
-// verifying the honest logs agree on it entry-by-entry. Returns false
-// after recording a terminal error: honest-log divergence (a
-// protocol-safety bug, not an operational condition) or an abort while
-// wedged against an abandoned stream.
+// verifying the honest logs agree on it entry-by-entry. A verified slot
+// leaves every log and its instance path (tag/s<slot>) is retired: every
+// honest party has delivered it, so none needs its RBCs, ABAs or coins
+// any more. Returns false after recording a terminal error: honest-log
+// divergence (a protocol-safety bug, not an operational condition) or an
+// abort while wedged against an abandoned stream.
 func (l *Ledger) emitReady() bool {
 	for {
 		l.mu.Lock()
@@ -370,16 +379,21 @@ func (l *Ledger) emitReady() bool {
 			return true
 		}
 		s := l.emitted
-		ref := l.logs[l.order[0]][s]
+		ref := l.logs[l.order[0]][0]
 		for _, i := range l.order[1:] {
-			if !sameEntries(ref, l.logs[i][s]) {
+			if !sameEntries(ref, l.logs[i][0]) {
 				l.err = fmt.Errorf("repro: ledger %q slot %d diverged across honest parties (bug)", l.tag, s)
 				l.mu.Unlock()
 				return false
 			}
 		}
+		for _, i := range l.order {
+			l.logs[i][0] = nil
+			l.logs[i] = l.logs[i][1:]
+		}
 		l.emitted++
 		l.mu.Unlock()
+		l.c.hc.Retire(fmt.Sprintf("%s/s%d", l.tag, s))
 		commit := SlotCommit{Slot: s}
 		for _, e := range ref {
 			if len(e.Txs) > 0 {
