@@ -2,10 +2,11 @@ package rbc
 
 import (
 	"crypto/sha256"
-	"sync"
+	"errors"
 
 	"repro/internal/crypto/merkle"
 	"repro/internal/crypto/rs"
+	"repro/internal/memo"
 )
 
 // AVID delivery re-encodes the decoded payload and rebuilds the Merkle tree
@@ -15,9 +16,8 @@ import (
 // broadcast the work is identical n times over. treeCache remembers payloads
 // that already verified against a root; only successful verifications are
 // cached, so a hit can never admit an inconsistent dispersal. The cache is
-// process-wide (sharing across simulated parties is the point) and bounded:
-// like the codec caches in package rs, it is dropped wholesale at capacity
-// rather than tracking recency.
+// process-wide (sharing across simulated parties is the point) and bounded
+// by memo.Map's two generations.
 type treeCacheKey struct {
 	k, n   int
 	root   merkle.Root
@@ -26,51 +26,41 @@ type treeCacheKey struct {
 
 const treeCacheCap = 4096
 
-var treeCache struct {
-	mu      sync.Mutex
-	entries map[treeCacheKey]struct{}
-}
+var treeCache = memo.New[treeCacheKey, struct{}](treeCacheCap)
+
+var errRootMismatch = errors.New("rbc: payload does not re-encode to the dispersal root")
 
 // verifyRoot reports whether value re-encodes under codec to the chunk set
 // behind root, consulting the dedup cache first. Hit/miss traffic is
 // exported through rs.Stats (TreeHits/TreeBuilds).
 func verifyRoot(codec *rs.Codec, k, n int, root merkle.Root, value []byte) bool {
 	key := treeCacheKey{k: k, n: n, root: root, digest: sha256.Sum256(value)}
-	treeCache.mu.Lock()
-	_, hit := treeCache.entries[key]
-	treeCache.mu.Unlock()
-	if hit {
+	built := false
+	_, err := treeCache.Load(key, func() (struct{}, error) {
+		built = true
+		rs.NoteTreeBuild()
+		chunks, err := codec.Encode(value)
+		if err != nil {
+			return struct{}{}, err
+		}
+		tree, err := merkle.Build(chunks)
+		if err != nil {
+			return struct{}{}, err
+		}
+		if tree.Root() != root {
+			return struct{}{}, errRootMismatch
+		}
+		return struct{}{}, nil
+	})
+	if !built {
 		rs.NoteTreeHit()
-		return true
 	}
-	rs.NoteTreeBuild()
-	chunks, err := codec.Encode(value)
-	if err != nil {
-		return false
-	}
-	tree, err := merkle.Build(chunks)
-	if err != nil || tree.Root() != root {
-		return false
-	}
-	rememberRoot(key)
-	return true
+	return err == nil
 }
 
 // seedRoot records a (root, value) pair the caller has just proven by
 // construction — the sender builds the tree itself, so its own dispersal
 // never needs re-verifying.
 func seedRoot(k, n int, root merkle.Root, value []byte) {
-	rememberRoot(treeCacheKey{k: k, n: n, root: root, digest: sha256.Sum256(value)})
-}
-
-func rememberRoot(key treeCacheKey) {
-	treeCache.mu.Lock()
-	defer treeCache.mu.Unlock()
-	if len(treeCache.entries) >= treeCacheCap {
-		treeCache.entries = nil
-	}
-	if treeCache.entries == nil {
-		treeCache.entries = make(map[treeCacheKey]struct{})
-	}
-	treeCache.entries[key] = struct{}{}
+	treeCache.Put(treeCacheKey{k: k, n: n, root: root, digest: sha256.Sum256(value)}, struct{}{})
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/crypto/merkle"
 	"repro/internal/crypto/rs"
+	"repro/internal/memo"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -360,9 +361,7 @@ func TestAVIDRunsOnCachedCodec(t *testing.T) {
 // resetTreeCache empties the process-wide AVID verification cache so a test
 // observes its own hit/build traffic deterministically.
 func resetTreeCache() {
-	treeCache.mu.Lock()
-	treeCache.entries = nil
-	treeCache.mu.Unlock()
+	treeCache = memo.New[treeCacheKey, struct{}](treeCacheCap)
 }
 
 // TestAVIDParityRecomputeDeduped: with the sender seeding the cache at

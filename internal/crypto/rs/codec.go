@@ -1,10 +1,11 @@
 // codec.go is the cached-basis systematic face of the package: a Codec per
-// (k, n) precomputes the Lagrange extension matrix once (cluster-wide, in the
-// same bounded-cache shape as vcache/scache), so Encode passes the k source
-// chunks through verbatim and computes only the n−k parity rows as matrix–row
-// dot products vectorized across all columns, and Decode applies one memoized
-// reconstruction basis per observed index set — with the "first k systematic
-// chunks present" case decoding by pure concatenation with zero field work.
+// (k, n) precomputes the Lagrange extension matrix once (process-wide, in a
+// bounded memo.Map), so Encode passes the k source chunks through verbatim
+// and computes only the n−k parity rows as matrix–row dot products
+// vectorized across all columns, and Decode applies one memoized
+// reconstruction basis per observed index set (a second process-wide
+// memo.Map) — with the "first k systematic chunks present" case decoding by
+// pure concatenation with zero field work.
 // The original evaluate/interpolate paths survive as EncodeSlow/DecodeSlow;
 // the differential suite gates fast ⟺ slow equivalence (byte-identical
 // outputs, matching accept/reject verdicts), mirroring the
@@ -21,10 +22,11 @@ import (
 	"repro/internal/crypto/field"
 	"repro/internal/crypto/poly"
 	"repro/internal/crypto/verifypool"
+	"repro/internal/memo"
 )
 
 // Stats are the package's cumulative codec counters. They are process-wide
-// (the codec cache is package-level, like its entries), so per-run
+// (the codec and basis memos are package-level), so per-run
 // attribution is by delta: harness.Cluster snapshots them at construction
 // and reports the difference.
 type Stats struct {
@@ -43,7 +45,8 @@ type Stats struct {
 	// this stays flat across systematic decodes.
 	FieldMuls int64
 	// BasisHits/BasisBuilds count decode reconstruction-basis memo traffic;
-	// CodecHits/CodecBuilds count Get's (k, n) codec-cache traffic.
+	// CodecHits/CodecBuilds count Get's (k, n) codec-memo traffic. They are
+	// the two memos' Hits and Misses.
 	BasisHits   int64
 	BasisBuilds int64
 	CodecHits   int64
@@ -61,8 +64,6 @@ type Stats struct {
 var counters struct {
 	encodes, decodes, systematic atomic.Int64
 	paritySymbols, fieldMuls     atomic.Int64
-	basisHits, basisBuilds       atomic.Int64
-	codecHits, codecBuilds       atomic.Int64
 	treeHits, treeBuilds         atomic.Int64
 }
 
@@ -75,16 +76,17 @@ func NoteTreeBuild() { counters.treeBuilds.Add(1) }
 
 // Snapshot returns the current process-wide counter values.
 func Snapshot() Stats {
+	bs, cs := bases.Stats(), codecs.Stats()
 	return Stats{
 		Encodes:           counters.encodes.Load(),
 		Decodes:           counters.decodes.Load(),
 		SystematicDecodes: counters.systematic.Load(),
 		ParitySymbols:     counters.paritySymbols.Load(),
 		FieldMuls:         counters.fieldMuls.Load(),
-		BasisHits:         counters.basisHits.Load(),
-		BasisBuilds:       counters.basisBuilds.Load(),
-		CodecHits:         counters.codecHits.Load(),
-		CodecBuilds:       counters.codecBuilds.Load(),
+		BasisHits:         bs.Hits,
+		BasisBuilds:       bs.Misses,
+		CodecHits:         cs.Hits,
+		CodecBuilds:       cs.Misses,
 		TreeHits:          counters.treeHits.Load(),
 		TreeBuilds:        counters.treeBuilds.Load(),
 	}
@@ -154,37 +156,13 @@ func (c *Codec) N() int { return c.n }
 // matrix (~n·k·32 bytes), and real clusters use a handful of shapes.
 const maxCodecs = 256
 
-var codecCache struct {
-	mu sync.Mutex
-	m  map[[2]int]*Codec
-}
+var codecs = memo.New[[2]int, *Codec](maxCodecs)
 
 // Get returns the memoized codec for (k, n), building and caching it on
-// first use. The cache is package-level and bounded: every AVID instance of
-// every cluster in the process shares one basis per shape, the same
-// cluster-wide reuse discipline as the vcache/scache verifier memos.
+// first use. The memo is package-level: every AVID instance of every
+// cluster in the process shares one basis per shape.
 func Get(k, n int) (*Codec, error) {
-	key := [2]int{k, n}
-	codecCache.mu.Lock()
-	if c, ok := codecCache.m[key]; ok {
-		codecCache.mu.Unlock()
-		counters.codecHits.Add(1)
-		return c, nil
-	}
-	codecCache.mu.Unlock()
-
-	c, err := NewCodec(k, n)
-	if err != nil {
-		return nil, err
-	}
-	counters.codecBuilds.Add(1)
-	codecCache.mu.Lock()
-	if codecCache.m == nil || len(codecCache.m) >= maxCodecs {
-		codecCache.m = make(map[[2]int]*Codec)
-	}
-	codecCache.m[key] = c
-	codecCache.mu.Unlock()
-	return c, nil
+	return codecs.Load([2]int{k, n}, func() (*Codec, error) { return NewCodec(k, n) })
 }
 
 // --- decode reconstruction bases ---
@@ -200,14 +178,10 @@ type decBasis struct {
 
 // maxBases bounds the decode-basis memo. Keys are (k, index-set); an AVID
 // cluster sees few distinct echo subsets per shape, but a long-lived process
-// serving many cluster sizes could otherwise grow without bound. At the cap
-// the map is dropped wholesale — it is advisory, results are identical.
+// serving many cluster sizes could otherwise grow without bound.
 const maxBases = 1 << 12
 
-var basisCache struct {
-	mu sync.Mutex
-	m  map[string]*decBasis
-}
+var bases = memo.New[string, *decBasis](maxBases)
 
 func basisKey(k int, idxs []int) string {
 	b := make([]byte, 0, 4*(len(idxs)+1))
@@ -224,48 +198,34 @@ func basisKey(k int, idxs []int) string {
 // reconstructionBasis returns the memoized k×k basis mapping the chunk
 // values at the (sorted, distinct) idxs to the source symbols at X(0…k−1).
 func reconstructionBasis(k int, idxs []int) (*decBasis, error) {
-	key := basisKey(k, idxs)
-	basisCache.mu.Lock()
-	if b, ok := basisCache.m[key]; ok {
-		basisCache.mu.Unlock()
-		counters.basisHits.Add(1)
-		return b, nil
-	}
-	basisCache.mu.Unlock()
-
-	xs := make([]field.Scalar, len(idxs))
-	for i, idx := range idxs {
-		xs[i] = poly.X(idx)
-	}
-	ats := make([]field.Scalar, k)
-	for j := range ats {
-		ats[j] = poly.X(j)
-	}
-	rows, err := poly.EvalMatrix(xs, ats)
-	if err != nil {
-		return nil, fmt.Errorf("rs: reconstruction basis: %w", err)
-	}
-	b := &decBasis{rows: rows, unit: make([]int, k)}
-	for j := range b.unit {
-		b.unit[j] = -1
-		if pos := sort.SearchInts(idxs, j); pos < len(idxs) && idxs[pos] == j {
-			b.unit[j] = pos
+	return bases.Load(basisKey(k, idxs), func() (*decBasis, error) {
+		xs := make([]field.Scalar, len(idxs))
+		for i, idx := range idxs {
+			xs[i] = poly.X(idx)
 		}
-	}
-	counters.basisBuilds.Add(1)
-	basisCache.mu.Lock()
-	if basisCache.m == nil || len(basisCache.m) >= maxBases {
-		basisCache.m = make(map[string]*decBasis)
-	}
-	basisCache.m[key] = b
-	basisCache.mu.Unlock()
-	return b, nil
+		ats := make([]field.Scalar, k)
+		for j := range ats {
+			ats[j] = poly.X(j)
+		}
+		rows, err := poly.EvalMatrix(xs, ats)
+		if err != nil {
+			return nil, fmt.Errorf("rs: reconstruction basis: %w", err)
+		}
+		b := &decBasis{rows: rows, unit: make([]int, k)}
+		for j := range b.unit {
+			b.unit[j] = -1
+			if pos := sort.SearchInts(idxs, j); pos < len(idxs) && idxs[pos] == j {
+				b.unit[j] = pos
+			}
+		}
+		return b, nil
+	})
 }
 
 // --- column-parallel work ---
 
 // pool bounds the codec's column fan-out to NumCPU. It is package-private
-// (the codec cache is package-level, unlike the per-cluster verification
+// (the codec memo is package-level, unlike the per-cluster verification
 // pools pki.Setup owns), so worst-case concurrency is one NumCPU pool of
 // codec work plus one of verification work — a bounded 2× during the rare
 // overlap, not the unbounded per-call goroutine spawn the pool exists to

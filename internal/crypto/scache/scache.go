@@ -1,5 +1,5 @@
 // Package scache is a memoizing PVSS script verifier shared by every party
-// of one cluster — the PVSS counterpart of internal/crypto/vcache. The §7.3
+// of one cluster — the PVSS counterpart of pki's VRF memo. The §7.3
 // ADKG has every party multicast a script and verify n of them, and the VBA
 // deciding the aggregate re-checks its external-validity predicate (a full
 // script verification) once per sender per broadcast stage; without
@@ -27,23 +27,20 @@
 // coefficients are themselves derived from exactly the memo key's inputs,
 // so even the batching randomness is pinned by the key.)
 //
-// Cold verifications run through a verifypool.Pool: bounded to NumCPU so
-// the live runtime's n dispatchers cannot oversubscribe the box, and
-// single-flight so a script racing in on several dispatchers is verified
-// once, with the waiters sharing the verdict (counted as hits, not cold
-// work). The cache is safe for concurrent use and bounded: at the cap the
-// map is dropped wholesale (it is advisory; results are identical either
-// way).
+// Cold verifications run under a verifypool.Pool bound (NumCPU by default)
+// so the live runtime's n dispatchers cannot oversubscribe the box; bound,
+// eviction and single-flight are memo.Map's, so a script racing in on
+// several dispatchers is verified once and the waiters count as hits.
 package scache
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/crypto/pairing"
 	"repro/internal/crypto/pvss"
 	"repro/internal/crypto/verifypool"
+	"repro/internal/memo"
 )
 
 type key struct {
@@ -52,12 +49,12 @@ type key struct {
 	keys      [sha256.Size]byte // SHA-256 of eks ‖ vks
 }
 
-// Stats are the cache's cumulative counters.
+// Stats are the cache's cumulative counters. Lookups = Hits + Verifies +
+// Composed.
 type Stats struct {
 	Lookups  int64 // Verify calls routed through the cache
 	Hits     int64 // answered without cold work (memo or coalesced in-flight)
 	Verifies int64 // cold script verifications actually performed
-	Negative int64 // memoized *false* verdicts returned
 	Composed int64 // aggregates validated compositionally (no pairing work)
 }
 
@@ -66,33 +63,21 @@ type Stats struct {
 const maxEntries = 1 << 14
 
 // Cache memoizes PVSS script-verification verdicts. The zero value is not
-// usable; call New.
+// usable; call New. A nil Cache verifies directly, without the
+// compositional fast path.
 type Cache struct {
-	pool *verifypool.Pool
-
-	mu      sync.Mutex
-	memo    bool
-	entries map[key]bool
-	stats   Stats
+	pool     *verifypool.Pool
+	verdicts *memo.Map[key, bool]
+	composed atomic.Int64
 }
 
-// New returns an empty cache with memoization enabled, running cold
-// verifications on pool. A nil pool gets a private NumCPU-bounded one.
+// New returns an empty cache running cold verifications on pool. A nil
+// pool gets a private NumCPU-bounded one.
 func New(pool *verifypool.Pool) *Cache {
 	if pool == nil {
 		pool = verifypool.New(0)
 	}
-	return &Cache{pool: pool, memo: true, entries: make(map[key]bool)}
-}
-
-// SetMemo toggles memoization AND the compositional fast path. With memo
-// off the cache degrades to a counting pass-through (every lookup verifies
-// cold, aggregates included), the raw baseline leg of the dedup benchmarks;
-// counters keep accumulating in both modes.
-func (c *Cache) SetMemo(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.memo = on
+	return &Cache{pool: pool, verdicts: memo.New[key, bool](maxEntries)}
 }
 
 // Verify reports whether s is a valid (possibly aggregated) PVSS script
@@ -125,6 +110,9 @@ func (c *Cache) verify(p pvss.Params, eks []pvss.EncKey, vks []pairing.G1, s *pv
 	if s == nil {
 		return false
 	}
+	if c == nil {
+		return pvss.VrfyScript(p, eks, vks, s)
+	}
 	// The keys digest is recomputed per lookup (≈2n short SHA-256 writes,
 	// single-digit µs at n=16) rather than cached per board: the board's
 	// Parties slice is exported and tests overwrite slots to model
@@ -141,82 +129,30 @@ func (c *Cache) verify(p pvss.Params, eks []pvss.EncKey, vks []pairing.G1, s *pv
 	}
 	h.Sum(k.keys[:0])
 
-	c.mu.Lock()
-	c.stats.Lookups++
-	memo := c.memo
-	if memo {
-		if v, ok := c.entries[k]; ok {
-			c.stats.Hits++
-			if !v {
-				c.stats.Negative++
-			}
-			c.mu.Unlock()
-			return v
+	return c.verdicts.Get(k, func() bool {
+		if c.partsVerified(p, k.keys, s, parts) && composes(p, s, k.script, parts) {
+			c.composed.Add(1)
+			return true
 		}
-	}
-	c.mu.Unlock()
-
-	if memo && c.partsVerified(p, k.keys, s, parts) && composes(p, s, k.script, parts) {
-		c.mu.Lock()
-		c.stats.Composed++
-		c.store(k, true)
-		c.mu.Unlock()
-		return true
-	}
-
-	// Cold path: run through the bounded single-flight pool, so concurrent
-	// distinct scripts verify in parallel (up to the pool bound) and
-	// concurrent identical scripts verify once. The closure re-checks the
-	// memo first and stores its verdict before the pool retires the
-	// in-flight entry, closing both duplicate-work races: a lookup that
-	// missed the memo before a racing verifier stored its verdict finds it
-	// here, and one arriving after the in-flight entry retired finds the
-	// memo populated.
-	cold := false
-	v, _ := c.pool.Do(flightKey(k), func() bool {
-		c.mu.Lock()
-		if c.memo {
-			if mv, ok := c.entries[k]; ok {
-				c.mu.Unlock()
-				return mv
-			}
-		}
-		c.mu.Unlock()
-		cold = true
-		verdict := pvss.VrfyScript(p, eks, vks, s)
-		c.mu.Lock()
-		c.store(k, verdict)
-		c.mu.Unlock()
-		return verdict
+		// Concurrent distinct scripts verify in parallel up to the pool
+		// bound; concurrent identical ones wait on this computation.
+		var v bool
+		c.pool.Run(func() { v = pvss.VrfyScript(p, eks, vks, s) })
+		return v
 	})
-
-	c.mu.Lock()
-	if cold {
-		c.stats.Verifies++
-	} else {
-		// Coalesced onto another caller's execution, or answered by a
-		// verdict that landed in the memo after our first check.
-		c.stats.Hits++
-		if !v {
-			c.stats.Negative++
-		}
-	}
-	c.mu.Unlock()
-	return v
 }
 
 // partsVerified reports whether every dealer named by s's weight vector
 // has a part holding a memoized POSITIVE verdict under the same (params,
 // keys digest). This is what makes the compositional path sound without
 // trusting the caller: only scripts this cache has itself accepted under
-// the CURRENT board keys can vouch for an aggregate.
+// the CURRENT board keys can vouch for an aggregate. Each part's digest is
+// computed before its memo lookup takes the lock.
 func (c *Cache) partsVerified(p pvss.Params, keys [sha256.Size]byte, s *pvss.Script, parts map[int]*pvss.Script) bool {
 	if len(parts) == 0 || len(s.W) != p.N {
 		return false
 	}
 	any := false
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for i, w := range s.W {
 		if w == 0 {
 			continue
@@ -225,23 +161,12 @@ func (c *Cache) partsVerified(p pvss.Params, keys [sha256.Size]byte, s *pvss.Scr
 			return false
 		}
 		pk := key{n: p.N, degree: p.Degree, script: sha256.Sum256(parts[i].Bytes()), keys: keys}
-		if v, ok := c.entries[pk]; !ok || !v {
+		if v, ok := c.verdicts.Peek(pk); !ok || !v {
 			return false
 		}
 		any = true
 	}
 	return any
-}
-
-// store memoizes a verdict; callers hold c.mu.
-func (c *Cache) store(k key, v bool) {
-	if !c.memo {
-		return
-	}
-	if len(c.entries) >= maxEntries {
-		c.entries = make(map[key]bool)
-	}
-	c.entries[k] = v
 }
 
 // composes reports whether s is exactly the aggregate of the verified unit
@@ -275,17 +200,7 @@ func composes(p pvss.Params, s *pvss.Script, want [sha256.Size]byte, parts map[i
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// flightKey flattens the memo key for the pool's single-flight table.
-func flightKey(k key) string {
-	var b [8 + 2*sha256.Size]byte
-	binary.BigEndian.PutUint32(b[0:], uint32(k.n))
-	binary.BigEndian.PutUint32(b[4:], uint32(k.degree))
-	copy(b[8:], k.script[:])
-	copy(b[8+sha256.Size:], k.keys[:])
-	return string(b[:])
+	st := c.verdicts.Stats()
+	composed := c.composed.Load()
+	return Stats{Lookups: st.Lookups, Hits: st.Hits, Verifies: st.Misses - composed, Composed: composed}
 }

@@ -63,8 +63,8 @@ func TestMemoizesPositiveAndNegative(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Lookups != 6 || st.Verifies != 2 || st.Hits != 4 || st.Negative != 2 {
-		t.Fatalf("stats = %+v, want lookups=6 verifies=2 hits=4 negative=2", st)
+	if st.Lookups != 6 || st.Verifies != 2 || st.Hits != 4 {
+		t.Fatalf("stats = %+v, want lookups=6 verifies=2 hits=4", st)
 	}
 }
 
@@ -88,22 +88,6 @@ func TestKeyBindsBoardKeys(t *testing.T) {
 	}
 	if st := c.Stats(); st.Verifies != 2 {
 		t.Fatalf("verifies = %d, want 2 (distinct key sets are distinct entries)", st.Verifies)
-	}
-}
-
-func TestSetMemoOffCountsEveryVerify(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	fx := setup(t, r, 4, 1)
-	s := deal(t, r, fx, 0)
-	c := New(nil)
-	c.SetMemo(false)
-	for i := 0; i < 3; i++ {
-		if !c.Verify(fx.p, fx.eks, fx.vks, s) {
-			t.Fatal("honest script rejected")
-		}
-	}
-	if st := c.Stats(); st.Verifies != 3 || st.Hits != 0 {
-		t.Fatalf("stats = %+v, want 3 cold verifies in pass-through mode", st)
 	}
 }
 

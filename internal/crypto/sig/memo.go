@@ -2,7 +2,8 @@ package sig
 
 import (
 	"crypto/sha256"
-	"sync"
+
+	"repro/internal/memo"
 )
 
 // Memo is a bounded Schnorr verdict memo owned by ONE party. Signing is
@@ -14,7 +15,7 @@ import (
 //
 // # Scope
 //
-// Unlike the cluster-shared VRF and PVSS-script caches (vcache, scache),
+// Unlike the cluster-shared VRF and PVSS-script memos in pki and scache,
 // a Memo must never be shared between parties: each party's keyring owns
 // its own, so a party process pays exactly the verifications it would pay
 // on its own, and an in-process cluster measures the same per-party work a
@@ -27,18 +28,8 @@ import (
 // (the public key first, so a re-registered key slot can never hit a stale
 // verdict). Positive and negative verdicts are both final.
 //
-// # Bound
-//
-// Entries live in two generations of at most memoGen entries each: when
-// the current generation fills, it becomes the previous one and the older
-// generation is dropped. A hit in the previous generation is promoted, so
-// the signatures of instances still running stay resident while those of
-// finished instances age out.
-type Memo struct {
-	mu        sync.Mutex
-	cur, prev map[[sha256.Size]byte]bool
-	stats     MemoStats
-}
+// Bound and eviction are memo.Map's: two generations of memoGen entries.
+type Memo memo.Map[[sha256.Size]byte, bool]
 
 // MemoStats are a memo's cumulative counters.
 type MemoStats struct {
@@ -51,8 +42,10 @@ type MemoStats struct {
 const memoGen = 1 << 13
 
 // NewMemo returns an empty memo.
-func NewMemo() *Memo {
-	return &Memo{cur: make(map[[sha256.Size]byte]bool), prev: make(map[[sha256.Size]byte]bool)}
+func NewMemo() *Memo { return (*Memo)(memo.New[[sha256.Size]byte, bool](2 * memoGen)) }
+
+func (m *Memo) verdicts() *memo.Map[[sha256.Size]byte, bool] {
+	return (*memo.Map[[sha256.Size]byte, bool])(m)
 }
 
 func memoKey(pk PublicKey, msg []byte, s Signature) [sha256.Size]byte {
@@ -72,41 +65,7 @@ func memoKey(pk PublicKey, msg []byte, s Signature) [sha256.Size]byte {
 // from the memo when the triple has been decided before. A nil Memo
 // verifies directly.
 func (m *Memo) Verify(pk PublicKey, msg []byte, s Signature) bool {
-	if m == nil {
-		return Verify(pk, msg, s)
-	}
-	k := memoKey(pk, msg, s)
-	m.mu.Lock()
-	m.stats.Lookups++
-	v, ok := m.cur[k]
-	if !ok {
-		if v, ok = m.prev[k]; ok {
-			m.putLocked(k, v)
-		}
-	}
-	if ok {
-		m.stats.Hits++
-		m.mu.Unlock()
-		return v
-	}
-	m.stats.Verifies++
-	m.mu.Unlock()
-
-	// The scalar multiplications run outside the lock; two racing lookups
-	// of one new triple both verify, and both are counted.
-	v = Verify(pk, msg, s)
-
-	m.mu.Lock()
-	m.putLocked(k, v)
-	m.mu.Unlock()
-	return v
-}
-
-func (m *Memo) putLocked(k [sha256.Size]byte, v bool) {
-	if len(m.cur) >= memoGen {
-		m.prev, m.cur = m.cur, make(map[[sha256.Size]byte]bool)
-	}
-	m.cur[k] = v
+	return m.verdicts().Get(memoKey(pk, msg, s), func() bool { return Verify(pk, msg, s) })
 }
 
 // VerifyQuorum is the package-level VerifyQuorum with every member
@@ -117,10 +76,6 @@ func (m *Memo) VerifyQuorum(pks []PublicKey, msg []byte, q *Quorum, threshold in
 
 // Stats returns a snapshot of the counters (zero for a nil Memo).
 func (m *Memo) Stats() MemoStats {
-	if m == nil {
-		return MemoStats{}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
+	st := m.verdicts().Stats()
+	return MemoStats{Lookups: st.Lookups, Hits: st.Hits, Verifies: st.Misses}
 }

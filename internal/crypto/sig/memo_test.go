@@ -156,44 +156,41 @@ func TestNilMemoVerifiesDirectly(t *testing.T) {
 	}
 }
 
-// TestMemoGenerations: the memo holds at most two generations, and a hit
-// in the previous generation is promoted so live entries survive a flip.
+// TestMemoGenerations: the memo holds at most two generations of memoGen
+// entries, and a hit in the older generation is promoted so live entries
+// survive a flip.
 func TestMemoGenerations(t *testing.T) {
 	m := NewMemo()
 	key := func(i int) [sha256.Size]byte {
 		return sha256.Sum256([]byte{byte(i), byte(i >> 8), byte(i >> 16)})
 	}
-	for i := 0; i < memoGen; i++ {
-		m.putLocked(key(i), true)
+	for i := 0; i < 3*memoGen; i++ {
+		m.verdicts().Put(key(i), true)
+		if l := m.verdicts().Len(); l > 2*memoGen {
+			t.Fatalf("memo holds %d entries, bound %d", l, 2*memoGen)
+		}
 	}
-	m.putLocked(key(memoGen), false) // flips: cur becomes prev
-	if len(m.cur) != 1 || len(m.prev) != memoGen {
-		t.Fatalf("after first flip: cur=%d prev=%d", len(m.cur), len(m.prev))
-	}
-	for i := memoGen + 1; i < 3*memoGen; i++ {
-		m.putLocked(key(i), true)
-	}
-	if len(m.cur) > memoGen || len(m.prev) > memoGen {
-		t.Fatalf("generations exceed bound: cur=%d prev=%d", len(m.cur), len(m.prev))
-	}
-	if _, ok := m.prev[key(0)]; ok {
+	if _, ok := m.verdicts().Peek(key(0)); ok {
 		t.Fatal("oldest generation was not dropped")
 	}
 
 	// Promotion through the public path: a real triple decided, pushed into
-	// the previous generation, then looked up again is a hit.
+	// the older generation by a full generation of other entries, then
+	// looked up again is a hit.
 	sks, pks := memoKeys(t, 1, 15)
 	s := sks[0].Sign([]byte("p"))
 	m2 := NewMemo()
 	if !m2.Verify(pks[0], []byte("p"), s) {
 		t.Fatal("valid signature rejected")
 	}
-	m2.prev, m2.cur = m2.cur, make(map[[sha256.Size]byte]bool)
+	for i := 0; i < memoGen; i++ {
+		m2.verdicts().Put(key(i), true)
+	}
 	if !m2.Verify(pks[0], []byte("p"), s) {
 		t.Fatal("promoted verdict lost")
 	}
-	if st := m2.Stats(); st.Hits != 1 || st.Verifies != 1 || len(m2.cur) != 1 {
-		t.Fatalf("promotion: stats %+v, cur=%d", st, len(m2.cur))
+	if st := m2.Stats(); st.Hits != 1 || st.Verifies != 1 {
+		t.Fatalf("promotion: stats %+v", st)
 	}
 }
 

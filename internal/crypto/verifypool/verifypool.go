@@ -1,22 +1,15 @@
-// Package verifypool bounds and deduplicates concurrent expensive
-// verification work. The live runtime verifies from n dispatcher goroutines
-// at once; without a bound an n=16 cluster can stack 16 multi-pairing PVSS
-// script verifications on a 4-core box, and without single-flight the same
-// cold script arriving on several dispatchers is verified once per
-// dispatcher before any verdict lands in the memo cache (the small race
-// vcache documents and tolerates — tolerable for a cheap VRF check, wasteful
-// for a whole-script multi-pairing).
+// Package verifypool bounds concurrent expensive work. The live runtime
+// verifies from n dispatcher goroutines at once; without a bound an n=16
+// cluster can stack 16 multi-pairing PVSS script verifications on a 4-core
+// box, and the Reed–Solomon codec would spawn one goroutine per column
+// range per call.
 //
-// A Pool is a counting semaphore plus a single-flight table:
-//
-//   - at most Workers verifications execute concurrently; excess callers
-//     queue on the semaphore (callers block for their verdict, so the pool
-//     adds no asynchrony — protocol semantics are unchanged on both
-//     runtimes, and on the single-threaded simulator every call runs
-//     inline);
-//   - concurrent calls with the same key coalesce onto one execution and
-//     share its verdict; the coalesced callers report shared=true so the
-//     caller's stats can distinguish work performed from work absorbed.
+// A Pool is a counting semaphore: at most Workers functions execute
+// concurrently and excess callers queue. Callers block until their work is
+// done, so the pool adds no asynchrony — protocol semantics are unchanged
+// on both runtimes, and on the single-threaded simulator every call runs
+// inline. Deduplicating identical work is not the pool's job: the memos in
+// package memo run concurrent misses on one key once.
 //
 // The pool holds no goroutines of its own — construction is free and idle
 // pools cost nothing, so every pki.Setup can own one.
@@ -27,35 +20,31 @@ import (
 	"sync"
 )
 
-// call is one in-flight verification; waiters block on done.
-type call struct {
-	done    chan struct{}
-	verdict bool
-}
-
-// Pool runs verification closures with bounded concurrency and
-// single-flight deduplication. The zero value is not usable; call New.
+// Pool runs functions with bounded concurrency. The zero value is not
+// usable; call New.
 type Pool struct {
 	sem chan struct{}
-
-	mu       sync.Mutex
-	inflight map[string]*call
 }
 
-// New returns a pool executing at most workers closures concurrently;
+// New returns a pool executing at most workers functions concurrently;
 // workers <= 0 selects runtime.NumCPU().
 func New(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	return &Pool{
-		sem:      make(chan struct{}, workers),
-		inflight: make(map[string]*call),
-	}
+	return &Pool{sem: make(chan struct{}, workers)}
 }
 
 // Workers reports the pool's concurrency bound.
 func (p *Pool) Workers() int { return cap(p.sem) }
+
+// Run executes fn on the caller's goroutine once one of the pool's slots is
+// free, and returns when fn has.
+func (p *Pool) Run(fn func()) {
+	p.sem <- struct{}{}
+	defer func() { <-p.sem }()
+	fn()
+}
 
 // Par runs every task under the concurrency bound and returns when all have
 // completed. It is the pool's data-parallel face: callers that split a batch
@@ -75,38 +64,8 @@ func (p *Pool) Par(tasks []func()) {
 		wg.Add(1)
 		go func(fn func()) {
 			defer wg.Done()
-			p.sem <- struct{}{}
-			fn()
-			<-p.sem
+			p.Run(fn)
 		}(task)
 	}
 	wg.Wait()
-}
-
-// Do executes fn under the concurrency bound and returns its verdict. If
-// another Do with the same key is already in flight, the call waits for
-// that execution instead and returns its verdict with shared=true; fn runs
-// exactly once per key among concurrent callers. Sequential calls with the
-// same key each execute (memoization across time is the caller's cache's
-// job, not the pool's).
-func (p *Pool) Do(key string, fn func() bool) (verdict, shared bool) {
-	p.mu.Lock()
-	if c, ok := p.inflight[key]; ok {
-		p.mu.Unlock()
-		<-c.done
-		return c.verdict, true
-	}
-	c := &call{done: make(chan struct{})}
-	p.inflight[key] = c
-	p.mu.Unlock()
-
-	p.sem <- struct{}{}
-	c.verdict = fn()
-	<-p.sem
-
-	p.mu.Lock()
-	delete(p.inflight, key)
-	p.mu.Unlock()
-	close(c.done)
-	return c.verdict, false
 }

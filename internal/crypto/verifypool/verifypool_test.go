@@ -7,79 +7,12 @@ import (
 	"time"
 )
 
-func TestDoReturnsVerdict(t *testing.T) {
-	p := New(2)
-	if v, shared := p.Do("k", func() bool { return true }); !v || shared {
-		t.Fatalf("got (%v, %v), want (true, false)", v, shared)
-	}
-	if v, shared := p.Do("k", func() bool { return false }); v || shared {
-		t.Fatalf("sequential re-Do: got (%v, %v), want (false, false)", v, shared)
-	}
-}
-
 func TestWorkersDefault(t *testing.T) {
 	if w := New(0).Workers(); w <= 0 {
 		t.Fatalf("default workers = %d, want > 0", w)
 	}
 	if w := New(3).Workers(); w != 3 {
 		t.Fatalf("workers = %d, want 3", w)
-	}
-}
-
-// TestSingleFlight asserts concurrent same-key calls execute fn once, with
-// every caller receiving the shared verdict and the coalesced callers
-// reporting shared=true.
-func TestSingleFlight(t *testing.T) {
-	p := New(4)
-	var execs atomic.Int64
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var wg sync.WaitGroup
-	const callers = 8
-	verdicts := make([]bool, callers)
-	shareds := make([]bool, callers)
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		verdicts[0], shareds[0] = p.Do("same", func() bool {
-			execs.Add(1)
-			close(started)
-			<-release
-			return true
-		})
-	}()
-	<-started
-	for i := 1; i < callers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			verdicts[i], shareds[i] = p.Do("same", func() bool {
-				execs.Add(1)
-				return true
-			})
-		}()
-	}
-	// Give the waiters time to park on the in-flight call before releasing.
-	time.Sleep(10 * time.Millisecond)
-	close(release)
-	wg.Wait()
-
-	if got := execs.Load(); got != 1 {
-		t.Fatalf("fn executed %d times, want 1", got)
-	}
-	sharedCount := 0
-	for i, v := range verdicts {
-		if !v {
-			t.Fatalf("caller %d got verdict false", i)
-		}
-		if shareds[i] {
-			sharedCount++
-		}
-	}
-	if sharedCount != callers-1 {
-		t.Fatalf("%d callers coalesced, want %d", sharedCount, callers-1)
 	}
 }
 
@@ -90,11 +23,10 @@ func TestBoundedConcurrency(t *testing.T) {
 	var cur, peak atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 24; i++ {
-		key := string(rune('a' + i))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Do(key, func() bool {
+			p.Run(func() {
 				c := cur.Add(1)
 				for {
 					pk := peak.Load()
@@ -104,7 +36,6 @@ func TestBoundedConcurrency(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 				cur.Add(-1)
-				return true
 			})
 		}()
 	}

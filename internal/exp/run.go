@@ -33,8 +33,8 @@ import (
 	"repro/internal/crypto/field"
 	"repro/internal/crypto/rs"
 	"repro/internal/crypto/scache"
-	"repro/internal/crypto/vcache"
 	"repro/internal/harness"
+	"repro/internal/memo"
 	"repro/internal/sim"
 )
 
@@ -409,16 +409,16 @@ func RunRBCOps(spec RunSpec, payload int) (Stats, rs.Stats, error) {
 }
 
 // RunVBADedup executes one validated BA and additionally reports the
-// cluster's VRF verifier-cache counters, quantifying how much P-256 work
-// the memo layer removed from the run.
-func RunVBADedup(spec RunSpec, proposals [][]byte, valid vba.Predicate) (VBAOutcome, vcache.Stats, error) {
+// cluster's VRF memo counters, quantifying how much P-256 work the memo
+// removed from the run (Misses are the cold verifications).
+func RunVBADedup(spec RunSpec, proposals [][]byte, valid vba.Predicate) (VBAOutcome, memo.Stats, error) {
 	c, err := spec.cluster()
 	if err != nil {
-		return VBAOutcome{}, vcache.Stats{}, err
+		return VBAOutcome{}, memo.Stats{}, err
 	}
 	inst := LaunchVBA(c, "vba", proposals, valid, vba.Config{Coin: spec.coinCfg()})
 	if err := inst.Wait(context.Background()); err != nil {
-		return VBAOutcome{}, vcache.Stats{}, fmt.Errorf("vba dedup run: %w", err)
+		return VBAOutcome{}, memo.Stats{}, fmt.Errorf("vba dedup run: %w", err)
 	}
 	return inst.Outcome(), c.VerifyStats(), nil
 }

@@ -107,13 +107,13 @@ func vbaDedupRun(rs RunSpec) (Outcome, error) {
 		return Outcome{}, err
 	}
 	dedup := 0.0
-	if vs.Verifies > 0 {
-		dedup = float64(vs.Lookups) / float64(vs.Verifies)
+	if vs.Misses > 0 {
+		dedup = float64(vs.Lookups) / float64(vs.Misses)
 	}
 	return Outcome{Stats: out.Stats, Extra: map[string]float64{
 		"agreed":       b2f(out.Agreed),
 		"vrf-lookups":  float64(vs.Lookups),
-		"vrf-verifies": float64(vs.Verifies),
+		"vrf-verifies": float64(vs.Misses),
 		"dedup-x":      dedup,
 	}}, nil
 }
@@ -531,7 +531,7 @@ func init() {
 		Ns: smallNs, Trials: 2, Genesis: []byte("adv"), Run: electionBotsRun,
 	})
 
-	// Verifier-cache dedup: the vcache layer must collapse the coin's n²
+	// Verifier-cache dedup: the VRF memo must collapse the coin's n²
 	// candidate re-verifications and the election's per-RBC-slot re-checks
 	// onto cold verifies; dedup-x records the achieved reduction factor.
 	Register(Spec{
@@ -540,7 +540,7 @@ func init() {
 		Ns: smallNs, Trials: 2, Genesis: []byte("dedup"), Run: vbaDedupRun,
 	})
 
-	// PVSS script-verify dedup: the scache layer must collapse the ADKG's
+	// PVSS script-verify dedup: the script cache must collapse the ADKG's
 	// per-party receipt verifications and the VBA's per-sender-per-stage
 	// predicate re-evaluations onto one cold verify per distinct script.
 	Register(Spec{

@@ -16,8 +16,8 @@ import (
 
 	"repro/internal/crypto/rs"
 	"repro/internal/crypto/scache"
-	"repro/internal/crypto/vcache"
 	"repro/internal/livenet"
+	"repro/internal/memo"
 	"repro/internal/pki"
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -280,19 +280,19 @@ func (c *Cluster) Steps() int64 {
 	return 0
 }
 
-// VerifyStats reports the cluster's shared VRF verifier-cache counters
-// (pki.Setup hands every keyring the same memoizing verifier, so the
-// counters cover all parties on both runtimes).
-func (c *Cluster) VerifyStats() vcache.Stats {
-	if len(c.Keys) == 0 || c.Keys[0].Verifier == nil {
-		return vcache.Stats{}
+// VerifyStats reports the cluster's shared VRF memo counters (pki.Setup
+// hands every keyring the same memo, so the counters cover all parties on
+// both runtimes; Misses are the cold verifications).
+func (c *Cluster) VerifyStats() memo.Stats {
+	if len(c.Keys) == 0 {
+		return memo.Stats{}
 	}
 	return c.Keys[0].Verifier.Stats()
 }
 
 // Verifies reports cold VRF verifications performed cluster-wide — the
-// P-256 work the verifier cache could not dedup away.
-func (c *Cluster) Verifies() int64 { return c.VerifyStats().Verifies }
+// P-256 work the VRF memo could not dedup away.
+func (c *Cluster) Verifies() int64 { return c.VerifyStats().Misses }
 
 // ScriptVerifyStats reports the cluster's shared PVSS script verifier-cache
 // counters (pki.Setup hands every keyring the same memoizing script

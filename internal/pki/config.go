@@ -6,10 +6,10 @@ package pki
 // decodes its own. Encoding is hex-in-JSON — small (a few KB per party),
 // diffable, and safe to pass through config files.
 //
-// Decoding rebuilds FRESH verification caches: the in-process cluster
-// shares one vcache/scache across all parties, but separate processes each
-// hold their own (they only ever verify on behalf of one party), which
-// changes cache hit counters, never verdicts.
+// Decoding rebuilds FRESH verification memos: the in-process cluster
+// shares one VRF memo and one script cache across all parties, but
+// separate processes each hold their own (they only ever verify on behalf
+// of one party), which changes cache hit counters, never verdicts.
 
 import (
 	"encoding/hex"
@@ -21,7 +21,6 @@ import (
 	"repro/internal/crypto/pvss"
 	"repro/internal/crypto/scache"
 	"repro/internal/crypto/sig"
-	"repro/internal/crypto/vcache"
 	"repro/internal/crypto/verifypool"
 	"repro/internal/crypto/vrf"
 )
@@ -156,7 +155,7 @@ func (c *KeyringConfig) Keyring() (*Keyring, error) {
 		PVSSSig: pvss.SigKey{S: tagS, VK: pairing.G1Generator().Exp(tagS)},
 		Board:   board,
 
-		Verifier: vcache.New(),
+		Verifier: newVRFMemo(),
 		Scripts:  scache.New(verifypool.New(0)),
 		Sigs:     sig.NewMemo(),
 	}

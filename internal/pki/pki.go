@@ -8,6 +8,7 @@
 package pki
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"io"
 
@@ -15,9 +16,9 @@ import (
 	"repro/internal/crypto/pvss"
 	"repro/internal/crypto/scache"
 	"repro/internal/crypto/sig"
-	"repro/internal/crypto/vcache"
 	"repro/internal/crypto/verifypool"
 	"repro/internal/crypto/vrf"
+	"repro/internal/memo"
 )
 
 // Party is one slot of the bulletin board: everything publicly registered
@@ -73,19 +74,18 @@ type Keyring struct {
 	PVSSSig pvss.SigKey
 	Board   *Board
 
-	// Verifier memoizes VRF verification verdicts. Setup hands every
-	// keyring of a cluster the SAME cache, so any runtime built from the
-	// rings — the single-threaded simulator or the concurrent livenet —
-	// shares one dedup pool; a nil Verifier (hand-built keyrings in old
-	// tests) falls back to raw verification.
-	Verifier *vcache.Cache
+	// Verifier memoizes VRF verification verdicts (see VerifyVRF). Setup
+	// hands every keyring of a cluster the SAME memo, so any runtime built
+	// from the rings — the single-threaded simulator or the concurrent
+	// livenet — shares one; a nil Verifier verifies directly.
+	Verifier *memo.Map[vrfKey, bool]
 
 	// Scripts memoizes PVSS script-verification verdicts the same way:
-	// one cluster-wide cache (cold verifies bounded and single-flighted by
-	// a shared verifypool), so the ADKG receipt path, the VBA
-	// external-validity predicate and the Seeding leader/aggregate checks
-	// never re-verify a script any party of the cluster has already
-	// decided. A nil Scripts falls back to raw batched verification.
+	// one cluster-wide cache (cold verifies bounded by a shared
+	// verifypool), so the ADKG receipt path, the VBA external-validity
+	// predicate and the Seeding leader/aggregate checks never re-verify a
+	// script any party of the cluster has already decided. A nil Scripts
+	// verifies directly.
 	Scripts *scache.Cache
 
 	// Sigs memoizes Schnorr verdicts for THIS party only. Unlike Verifier
@@ -94,6 +94,35 @@ type Keyring struct {
 	// one-party process would. A nil Sigs verifies directly.
 	Sigs *sig.Memo
 }
+
+// vrfKey is the VRF memo key, (party, H(pk ‖ input), output, H(proof)):
+//
+//   - party pins the bulletin-board slot, so two parties registering the
+//     same public key cannot cross-talk;
+//   - the input hash folds the REGISTERED PUBLIC KEY in, so a re-registered
+//     slot (tests overwrite boards to model malicious key generation) can
+//     never hit a stale verdict;
+//   - output and proof hash pin the exact claim being checked, so distinct
+//     proofs for the same statement are verified independently.
+//
+// vrf.Verify is a deterministic function of the key, so positive and
+// negative verdicts are both final. VRF uniqueness (Γ is determined by sk
+// and the input) makes the memo effective: for a fixed party and input only
+// ONE output can carry a valid proof, so the coin's n² re-broadcasts of a
+// winning candidate and the election's per-RBC-slot re-checks all collapse
+// onto one entry.
+type vrfKey struct {
+	party  int
+	input  [sha256.Size]byte // SHA-256(pk ‖ input)
+	output vrf.Output
+	proof  [sha256.Size]byte // SHA-256(Γ ‖ c ‖ s)
+}
+
+// vrfMemoBound bounds a cluster's VRF memo; one entry is ~100 bytes.
+const vrfMemoBound = 1 << 16
+
+// newVRFMemo returns an empty VRF verdict memo for Keyring.Verifier.
+func newVRFMemo() *memo.Map[vrfKey, bool] { return memo.New[vrfKey, bool](vrfMemoBound) }
 
 // VerifySig checks s as party's signature on msg against the key
 // registered on the bulletin board, through this party's verdict memo.
@@ -109,26 +138,23 @@ func (k *Keyring) VerifyQuorum(msg []byte, q *sig.Quorum, threshold int) bool {
 
 // VerifyVRF checks that (out, pf) is party's VRF evaluation on input,
 // against the key registered on the bulletin board, through the cluster's
-// memoizing verifier when present.
+// VRF memo.
 func (k *Keyring) VerifyVRF(party int, input []byte, out vrf.Output, pf vrf.Proof) bool {
 	pk := k.Board.Parties[party].VRF
-	if k.Verifier == nil {
-		return vrf.Verify(pk, input, out, pf)
-	}
-	return k.Verifier.Verify(party, pk, input, out, pf)
+	h := sha256.New()
+	h.Write(pk.P.Bytes())
+	h.Write(input)
+	key := vrfKey{party: party, output: out, proof: sha256.Sum256(pf.Bytes())}
+	h.Sum(key.input[:0])
+	return k.Verifier.Get(key, func() bool { return vrf.Verify(pk, input, out, pf) })
 }
 
 // VerifyScript checks a (possibly aggregated) PVSS script against the keys
-// registered on the bulletin board, through the cluster's memoizing script
-// verifier when present. Every protocol-level script check (Seeding, ADKG,
-// VBA external validity) routes through here so one cluster-wide memo
-// serves them all.
+// registered on the bulletin board, through the cluster's script memo.
+// Every protocol-level script check (Seeding, ADKG, VBA external validity)
+// routes through here so one cluster-wide memo serves them all.
 func (k *Keyring) VerifyScript(p pvss.Params, s *pvss.Script) bool {
-	eks, vks := k.Board.EncKeys(), k.Board.PVSSVKs()
-	if k.Scripts == nil {
-		return pvss.VrfyScript(p, eks, vks, s)
-	}
-	return k.Scripts.Verify(p, eks, vks, s)
+	return k.Scripts.Verify(p, k.Board.EncKeys(), k.Board.PVSSVKs(), s)
 }
 
 // VerifyScriptComposed is VerifyScript with the compositional aggregate
@@ -137,11 +163,7 @@ func (k *Keyring) VerifyScript(p pvss.Params, s *pvss.Script) bool {
 // receipt path feeds its verified contributions in, so honest aggregates
 // proposed into the VBA validate by byte comparison instead of pairings.
 func (k *Keyring) VerifyScriptComposed(p pvss.Params, s *pvss.Script, parts map[int]*pvss.Script) bool {
-	eks, vks := k.Board.EncKeys(), k.Board.PVSSVKs()
-	if k.Scripts == nil {
-		return pvss.VrfyScript(p, eks, vks, s)
-	}
-	return k.Scripts.VerifyComposed(p, eks, vks, s, parts)
+	return k.Scripts.VerifyComposed(p, k.Board.EncKeys(), k.Board.PVSSVKs(), s, parts)
 }
 
 // Setup generates keys for n parties from the randomness source and
@@ -149,7 +171,7 @@ func (k *Keyring) VerifyScriptComposed(p pvss.Params, s *pvss.Script, parts map[
 func Setup(n int, rng io.Reader) ([]*Keyring, *Board, error) {
 	board := &Board{Parties: make([]Party, n)}
 	rings := make([]*Keyring, n)
-	verifier := vcache.New()
+	verifier := newVRFMemo()
 	scripts := scache.New(verifypool.New(0))
 	for i := 0; i < n; i++ {
 		sk, err := sig.GenerateKey(rng)

@@ -136,7 +136,7 @@ func TestVerifyVRFSharedCache(t *testing.T) {
 		}
 	}
 	s := rings[0].Verifier.Stats()
-	if s.Verifies != 1 || s.Hits != 3 {
+	if s.Misses != 1 || s.Hits != 3 {
 		t.Fatalf("stats = %+v, want 1 cold verify + 3 shared hits", s)
 	}
 	// Re-register slot 2 with a ground key: the old proof must now fail,
@@ -154,6 +154,42 @@ func TestVerifyVRFSharedCache(t *testing.T) {
 	gout, gpf := ground.Eval(input)
 	if !bare.VerifyVRF(2, input, gout, gpf) {
 		t.Fatal("nil-verifier keyring rejected a valid evaluation")
+	}
+}
+
+// TestKeyDiscriminates: every component of the VRF memo key separates
+// entries — party index, input, and the registered public key.
+func TestKeyDiscriminates(t *testing.T) {
+	keypair := func(seed int64) vrf.PrivateKey {
+		sk, err := vrf.GenerateKey(rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sk
+	}
+	sk, sk2 := keypair(3), keypair(4)
+	in, in2 := []byte("a"), []byte("b")
+	out, pf := sk.Eval(in)
+	board := &Board{Parties: []Party{{VRF: sk.PK}, {VRF: sk.PK}}}
+	c := &Keyring{Board: board, Verifier: newVRFMemo()}
+	if !c.VerifyVRF(0, in, out, pf) {
+		t.Fatal("valid proof rejected")
+	}
+	// Different party, same everything else: cold verify, same verdict.
+	if !c.VerifyVRF(1, in, out, pf) {
+		t.Fatal("party 1 copy rejected")
+	}
+	// Different input: the proof no longer matches.
+	if c.VerifyVRF(0, in2, out, pf) {
+		t.Fatal("proof accepted for a different input")
+	}
+	// Re-registered key on the same slot: must NOT hit party 0's entry.
+	board.RegisterVRF(0, sk2.PK)
+	if c.VerifyVRF(0, in, out, pf) {
+		t.Fatal("stale verdict after key re-registration")
+	}
+	if s := c.Verifier.Stats(); s.Misses != 4 || s.Hits != 0 {
+		t.Fatalf("stats = %+v, want 4 distinct cold verifies", s)
 	}
 }
 
