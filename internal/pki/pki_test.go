@@ -157,6 +157,26 @@ func TestVerifyVRFSharedCache(t *testing.T) {
 	}
 }
 
+// TestPositiveCaching: repeating one valid VRF check on a keyring runs the
+// cold verification once and answers every later lookup from the memo.
+func TestPositiveCaching(t *testing.T) {
+	sk, err := vrf.GenerateKey(rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []byte("input")
+	out, pf := sk.Eval(in)
+	c := &Keyring{Board: &Board{Parties: []Party{{VRF: sk.PK}}}, Verifier: newVRFMemo()}
+	for i := 0; i < 5; i++ {
+		if !c.VerifyVRF(0, in, out, pf) {
+			t.Fatal("valid proof rejected")
+		}
+	}
+	if s := c.Verifier.Stats(); s.Lookups != 5 || s.Misses != 1 || s.Hits != 4 {
+		t.Fatalf("stats = %+v, want 5 lookups / 1 verify / 4 hits", s)
+	}
+}
+
 // TestKeyDiscriminates: every component of the VRF memo key separates
 // entries — party index, input, and the registered public key.
 func TestKeyDiscriminates(t *testing.T) {
