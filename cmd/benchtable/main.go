@@ -206,6 +206,9 @@ func printExtras(s exp.SpecReport) {
 	if d, ok := last.Extra["mean-round"]; ok {
 		parts = append(parts, fmt.Sprintf("ABA rounds mean %.2f (p95 %.1f)", d.Mean, d.P95))
 	}
+	if d, ok := last.Extra["coin-rounds"]; ok {
+		parts = append(parts, fmt.Sprintf("round coins/party %.2f", d.Mean))
+	}
 	if d, ok := last.Extra["mean-attempts"]; ok {
 		parts = append(parts, fmt.Sprintf("election attempts/epoch %.2f", d.Mean))
 	}

@@ -14,10 +14,11 @@
 //
 //	stage 1  BV-broadcast(est) → view₁; propose v if view₁={v}, else ⊥
 //	stage 2  BV-broadcast(proposal) over {0,1,⊥} → view₂
-//	         view₂={v}   → decide v           (coin never consulted)
-//	         view₂={v,⊥} → est = v            (coin never consulted)
-//	         view₂={⊥}   → est = coin(r)
+//	         view₂={v}   → decide v, est = v  (no coin started)
+//	         view₂={v,⊥} → est = v            (coin started, not awaited)
+//	         view₂={⊥}   → est = coin(r)      (coin started and awaited)
 //
+// view₂ is evaluated once, when n−f AUX2 values sit inside bin_values₂.
 // Stage-1 singleton views are unique per round (two n−f AUX quorums share
 // an honest sender), so bin-values₂ ⊆ {v,⊥} and a decide forces v into
 // every other party's view₂ — the coin only breaks symmetry when nobody
@@ -25,9 +26,20 @@
 // disagreement harmless to safety and leaves α to govern only the expected
 // round count (≈ 2/α).
 //
+// The coin therefore runs only where an honest party can need it. A party
+// whose view₂ is {v,⊥} still joins the round's coin so that a {⊥} party
+// gets n−f participants: if any honest view is {⊥}, no honest view is {v}
+// (a {v} view would put v into every honest view), so every honest party
+// starts that coin. Unanimous rounds start none.
+//
 // A Bracha-style FINISH gadget lets parties halt: deciders keep
 // participating until 2f+1 FINISH votes accumulate, preserving liveness
-// for lagging parties.
+// for lagging parties. A party that decided in round d enters round d+1
+// but no later one: once an honest party decides v in round d, every
+// honest party enters round d+1 with est = v and decides there, so no
+// honest party needs round d+2. Without the cap, coin-free rounds are so
+// cheap that a scheduler delaying FINISH votes (LIFO, say) lets deciders
+// race through rounds up to the circuit breaker.
 package aba
 
 import (
@@ -112,9 +124,9 @@ type roundState struct {
 	aux2Sent bool
 	aux2Recv map[int]byte
 
-	coinAsked bool
-	coinVal   *byte
-	resolved  bool
+	viewed   bool  // view₂ evaluated (n−f AUX2 values inside bin_values₂)
+	coinVal  *byte // the round coin's output, once it arrives
+	resolved bool  // est for round r+1 fixed; viewed && !resolved awaits the coin
 }
 
 func newRoundState() *roundState {
@@ -146,6 +158,9 @@ type ABA struct {
 	// DecidedRound is the round in which this party first decided (0 until
 	// then) — used by the round-distribution experiments (E6).
 	DecidedRound int
+	// CoinRounds counts the round coins this party started: one per round
+	// whose view₂ was {v,⊥} or {⊥}; unanimous rounds start none.
+	CoinRounds int
 }
 
 // New registers an ABA instance. Call Start with the input bit.
@@ -221,11 +236,10 @@ func (a *ABA) sendEST2(r int, v byte) {
 	a.rt.Multicast(a.inst, w.Bytes())
 }
 
-// Handle implements proto.Handler.
+// Handle implements proto.Handler. A halted instance takes no further
+// protocol step but still records AUX1/AUX2/FINISH double votes as
+// equivocation evidence.
 func (a *ABA) Handle(from int, body []byte) {
-	if a.halted {
-		return
-	}
 	rd := wire.NewReader(body)
 	tag := rd.Byte()
 	switch tag {
@@ -250,6 +264,9 @@ func (a *ABA) Handle(from int, body []byte) {
 }
 
 func (a *ABA) onRoundMsg(tag byte, r int, v byte, from int) {
+	if a.halted && (tag == msgEST1 || tag == msgEST2) {
+		return // a halted instance only collects double-vote evidence
+	}
 	st := a.state(r)
 	switch tag {
 	case msgEST1:
@@ -291,7 +308,9 @@ func (a *ABA) onRoundMsg(tag byte, r int, v byte, from int) {
 			return
 		}
 		st.aux1Recv[from] = v
-		a.tryPropose(r)
+		if !a.halted {
+			a.tryPropose(r)
+		}
 	case msgEST2:
 		if v > 2 {
 			a.rt.Reject()
@@ -328,7 +347,9 @@ func (a *ABA) onRoundMsg(tag byte, r int, v byte, from int) {
 			return
 		}
 		st.aux2Recv[from] = v
-		a.tryCoin(r)
+		if !a.halted {
+			a.tryCoin(r)
+		}
 	}
 }
 
@@ -364,8 +385,11 @@ func (a *ABA) tryPropose(r int) {
 	}
 }
 
-// tryCoin closes stage 2: once n−f AUX2 values sit inside bin_values₂,
-// flip the round coin.
+// tryCoin closes stage 2: once n−f AUX2 values sit inside bin_values₂ it
+// evaluates view₂ once and applies the three-way rule — {v}: decide v and
+// move on without a coin; {v,⊥}: est = v, start the round coin for the
+// benefit of {⊥} parties, and move on without waiting for it; {⊥} (or the
+// impossible {0,1}): start the coin and resolve the round when it arrives.
 func (a *ABA) tryCoin(r int) {
 	if !a.started || r != a.round {
 		return
@@ -374,25 +398,52 @@ func (a *ABA) tryCoin(r int) {
 	if st.resolved {
 		return
 	}
-	if st.coinAsked {
-		if st.coinVal != nil {
-			a.resolveRound(r)
-		}
+	if st.viewed {
+		a.resolveRound(r)
 		return
 	}
 	if !st.bin2[0] && !st.bin2[1] && !st.bin2[bot] {
 		return
 	}
 	inBin := 0
+	var seen [3]bool
 	for _, v := range st.aux2Recv {
 		if v <= 2 && st.bin2[v] {
 			inBin++
+			seen[v] = true
 		}
 	}
 	if inBin < a.rt.N()-a.rt.F() {
 		return
 	}
-	st.coinAsked = true
+	st.viewed = true
+	if seen[0] == seen[1] {
+		// view₂ = {⊥}, or {0,1} — impossible for honest stage-2 proposals
+		// (stage-1 singleton views are unique); either way adopt the coin
+		// and never decide.
+		a.startCoin(r, st)
+		return
+	}
+	var v byte
+	if seen[1] {
+		v = 1
+	}
+	st.resolved = true
+	a.est = v
+	if seen[bot] {
+		a.startCoin(r, st)
+	} else if a.decided == nil {
+		a.decided = &v
+		a.DecidedRound = r
+		a.sendFINISH(v)
+	}
+	a.nextRound(r)
+}
+
+// startCoin starts round r's coin; its output resolves the round only if
+// view₂ was {⊥} (tryCoin ignores it otherwise).
+func (a *ABA) startCoin(r int, st *roundState) {
+	a.CoinRounds++
 	start := a.coins(r, func(bit byte) {
 		st.coinVal = &bit
 		a.tryCoin(r)
@@ -400,47 +451,28 @@ func (a *ABA) tryCoin(r int) {
 	start()
 }
 
-// resolveRound applies the decision rule on view₂ at coin-arrival time.
+// resolveRound closes a {⊥} round on the coin's output.
 func (a *ABA) resolveRound(r int) {
 	st := a.state(r)
 	if st.resolved || st.coinVal == nil {
 		return
 	}
 	st.resolved = true
-	s := *st.coinVal
+	a.est = *st.coinVal
+	a.nextRound(r)
+}
 
-	var seen [3]bool
-	for _, v := range st.aux2Recv {
-		if v <= 2 && st.bin2[v] {
-			seen[v] = true
-		}
+// nextRound enters round r+1 with the current estimate, unless this party
+// decided before round r (see the package comment) or the circuit breaker
+// trips.
+func (a *ABA) nextRound(r int) {
+	if r+1 > maxRounds || a.decided != nil && r > a.DecidedRound {
+		return
 	}
-	switch {
-	case seen[0] && seen[1]:
-		// Impossible for honest stage-2 proposals (stage-1 singleton views
-		// are unique); defensively adopt the coin and never decide.
-		a.est = s
-	case seen[0] || seen[1]:
-		var v byte
-		if seen[1] {
-			v = 1
-		}
-		a.est = v
-		if !seen[bot] && a.decided == nil {
-			d := v
-			a.decided = &d
-			a.DecidedRound = r
-			a.sendFINISH(v)
-		}
-	default: // view₂ = {⊥}
-		a.est = s
-	}
-	if r+1 <= maxRounds {
-		a.round = r + 1
-		a.sendEST1(a.round, a.est)
-		a.tryPropose(a.round)
-		a.tryCoin(a.round)
-	}
+	a.round = r + 1
+	a.sendEST1(a.round, a.est)
+	a.tryPropose(a.round)
+	a.tryCoin(a.round)
 }
 
 func (a *ABA) onFinish(v byte, from int) {
@@ -454,6 +486,9 @@ func (a *ABA) onFinish(v byte, from int) {
 		return
 	}
 	a.finishRecv[v][from] = true
+	if a.halted {
+		return
+	}
 	if len(a.finishRecv[v]) >= a.rt.F()+1 {
 		a.sendFINISH(v)
 	}

@@ -17,7 +17,7 @@ type fixture struct {
 }
 
 // setup wires ABA instances with the given coin factory builder (per node).
-func setup(t *testing.T, n, f int, seed int64, opts harness.Options, coins func(i int) CoinFactory) *fixture {
+func setup(t *testing.T, n, f int, seed int64, opts harness.Options, coins coinsFor) *fixture {
 	t.Helper()
 	c, err := harness.NewCluster(n, f, seed, opts)
 	if err != nil {
@@ -25,7 +25,7 @@ func setup(t *testing.T, n, f int, seed int64, opts harness.Options, coins func(
 	}
 	fx := &fixture{c: c, insts: make([]*ABA, n), outs: make(map[int]byte), depth: make(map[int]int)}
 	c.EachHonest(func(i int) {
-		fx.insts[i] = New(c.Net.Node(i), "aba", coins(i), func(b byte) {
+		fx.insts[i] = New(c.Net.Node(i), "aba", coins(c, i), func(b byte) {
 			fx.outs[i] = b
 			fx.depth[i] = c.Net.Node(i).Depth()
 		})
@@ -33,8 +33,16 @@ func setup(t *testing.T, n, f int, seed int64, opts harness.Options, coins func(
 	return fx
 }
 
-func testCoins(seed string) func(int) CoinFactory {
-	return func(int) CoinFactory { return TestCoins(seed) }
+// coinsFor builds party i's coin factory on the fixture's cluster.
+type coinsFor func(c *harness.Cluster, i int) CoinFactory
+
+func testCoins(seed string) coinsFor {
+	return func(*harness.Cluster, int) CoinFactory { return TestCoins(seed) }
+}
+
+// paperCoins backs every party with the paper's Alg. 4 coin.
+func paperCoins(c *harness.Cluster, i int) CoinFactory {
+	return PaperCoins(c.Net.Node(i), "aba/coin", c.Keys[i], coinConfig())
 }
 
 func (fx *fixture) start(inputs map[int]byte) {
@@ -67,26 +75,82 @@ func (fx *fixture) checkAgreementValidity(t *testing.T, inputs map[int]byte, wan
 	}
 }
 
+// TestUnanimousInputsDecideFast: unanimous inputs decide in round 1, and
+// under the paper coin no party starts a single round coin — view₂ is
+// {v} everywhere, so the coin is never needed.
 func TestUnanimousInputsDecideFast(t *testing.T) {
-	for _, bit := range []byte{0, 1} {
+	for _, paper := range []bool{false, true} {
+		for _, bit := range []byte{0, 1} {
+			const n, f = 4, 1
+			coins := testCoins("s")
+			if paper {
+				coins = paperCoins
+			}
+			fx := setup(t, n, f, int64(bit)+1, harness.Options{}, coins)
+			inputs := map[int]byte{0: bit, 1: bit, 2: bit, 3: bit}
+			fx.start(inputs)
+			if err := fx.c.Net.Run(1_000_000, func() bool { return len(fx.outs) == n }); err != nil {
+				t.Fatal(err)
+			}
+			fx.checkAgreementValidity(t, inputs, n)
+			for i, b := range fx.outs {
+				if b != bit {
+					t.Fatalf("node %d decided %d on unanimous %d input", i, b, bit)
+				}
+			}
+			for i, inst := range fx.insts {
+				if inst.DecidedRound != 1 {
+					t.Fatalf("unanimous input decided in round %d, want 1", inst.DecidedRound)
+				}
+				if inst.CoinRounds != 0 {
+					t.Fatalf("paper=%v: node %d started %d round coins on unanimous input, want 0", paper, i, inst.CoinRounds)
+				}
+			}
+		}
+	}
+}
+
+// TestEquivocatingAUX2CannotStrandCoin: a Byzantine party sends AUX2 = v
+// to one honest party and AUX2 = ⊥ to the others in every round, trying to
+// leave one party deciding without the coin while another waits on it
+// with fewer than n−f participants. Any two n−f AUX2 sets share an honest
+// sender, so a {v} view puts v into every honest view: either nobody waits
+// on the coin or every honest party starts it. Every honest party must
+// decide, and on the same bit, under the paper coin.
+func TestEquivocatingAUX2CannotStrandCoin(t *testing.T) {
+	coinRounds := 0
+	for seed := int64(0); seed < 4; seed++ {
 		const n, f = 4, 1
-		fx := setup(t, n, f, int64(bit)+1, harness.Options{}, testCoins("s"))
-		inputs := map[int]byte{0: bit, 1: bit, 2: bit, 3: bit}
+		byz := map[int]bool{3: true}
+		fx := setup(t, n, f, seed+70, harness.Options{Byzantine: byz}, paperCoins)
+		inputs := map[int]byte{0: 0, 1: 1, 2: byte(seed) & 1}
 		fx.start(inputs)
-		if err := fx.c.Net.Run(1_000_000, func() bool { return len(fx.outs) == n }); err != nil {
-			t.Fatal(err)
-		}
-		fx.checkAgreementValidity(t, inputs, n)
-		for i, b := range fx.outs {
-			if b != bit {
-				t.Fatalf("node %d decided %d on unanimous %d input", i, b, bit)
+		v := byte(seed>>1) & 1
+		for r := 1; r <= 6; r++ {
+			for to := 0; to < 3; to++ {
+				send := func(tag, val byte) {
+					fx.c.Net.Inject(3, to, "aba", []byte{tag, 0, 0, 0, byte(r), val})
+				}
+				send(msgEST1, 0)
+				send(msgEST1, 1)
+				send(msgAUX1, byte(to)&1)
+				send(msgEST2, v)
+				send(msgEST2, bot)
+				if to == 0 {
+					send(msgAUX2, v)
+				} else {
+					send(msgAUX2, bot)
+				}
 			}
 		}
-		for _, inst := range fx.insts {
-			if inst.DecidedRound != 1 {
-				t.Fatalf("unanimous input decided in round %d, want 1", inst.DecidedRound)
-			}
+		if err := fx.c.Net.Run(50_000_000, func() bool { return len(fx.outs) == 3 }); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
+		fx.checkAgreementValidity(t, inputs, 3)
+		fx.c.EachHonest(func(i int) { coinRounds += fx.insts[i].CoinRounds })
+	}
+	if coinRounds == 0 {
+		t.Fatal("no honest party ever started a round coin: the split-view paths went unexercised")
 	}
 }
 
@@ -141,7 +205,7 @@ func TestToleratesCrashedParties(t *testing.T) {
 func TestSafetyUnderAdversarialCoin(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		const n, f = 4, 1
-		coins := func(i int) CoinFactory { return AdversarialCoins(fmt.Sprint(seed), i) }
+		coins := func(_ *harness.Cluster, i int) CoinFactory { return AdversarialCoins(fmt.Sprint(seed), i) }
 		fx := setup(t, n, f, seed, harness.Options{}, coins)
 		inputs := map[int]byte{0: 0, 1: 1, 2: 1, 3: 0}
 		fx.start(inputs)

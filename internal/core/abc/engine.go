@@ -39,8 +39,9 @@ type DeliverSlot func(slot int, entries []Entry)
 
 // EngineConfig tunes the common-subset engine.
 type EngineConfig struct {
-	// Coin configures the paper coins backing straggler ABAs (unanimous
-	// ABAs — the common case — decide without consulting any coin).
+	// Coin configures the paper coins behind the slot ABAs. An ABA starts
+	// a round coin only in rounds with a split view (view₂ = {v,⊥} or
+	// {⊥}); unanimous ABAs — the common case — decide without one.
 	Coin coin.Config
 	// Coins overrides the per-ABA coin factory (tests, ablations); inst is
 	// the ABA's instance path. Nil selects paper coins under inst+"/c".
@@ -157,17 +158,37 @@ func (e *Engine) NotifyWork() { e.tryLaunch() }
 // finalizes the log. Every honest party must eventually be asked to stop,
 // or the flagged slots keep admitting unflagged batches. Drain conserves
 // transactions: every batch taken from the mempool either commits in a
-// delivered slot or is requeued at finish — both a batch the adversary
-// excludes from the final slot and batches in pipelined slots the final
+// delivered slot or is requeued at finish — both a batch the slot's ABAs
+// exclude from the final slot and batches in pipelined slots the final
 // slot outruns. Requeued transactions have no later slot to carry them;
 // callers needing them must inspect the pool after finish (the Ledger
-// layer reports leftovers).
+// layer reports leftovers). A caller that sees every honest engine at
+// once can avoid them by draining before it stops: call RequestStop only
+// after no honest engine is Pending (with its mempool closed), so the
+// final slot carries only empty batches. The public Ledger does so; a
+// single noded process cannot, and its drain may still return leftovers.
 func (e *Engine) RequestStop() {
 	if e.stopping {
 		return
 	}
 	e.stopping = true
 	e.tryLaunch()
+}
+
+// Pending reports whether this party still holds transactions that have
+// not committed: queued in its mempool, or carried by its batch in a slot
+// not yet delivered. Once its mempool is closed, an engine that is not
+// Pending stays so — only an undelivered batch can requeue transactions.
+func (e *Engine) Pending() bool {
+	if !e.pool.Empty() {
+		return true
+	}
+	for _, st := range e.slots {
+		if len(st.myTxs) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // DeliveredThrough reports how many leading slots have been delivered.

@@ -197,6 +197,7 @@ func (ci *CoinInstance) Outcome() CoinOutcome {
 type abaResult struct {
 	bit   byte
 	round int
+	coins int
 }
 
 // ABAInstance is one binary-agreement instance launched on a cluster.
@@ -214,7 +215,7 @@ func LaunchABA(c *harness.Cluster, tag string, inputs []byte, coins func(i int) 
 		c.Launch(i, func() {
 			insts[i] = aba.New(c.Runtime(i), tag, coins(i), func(b byte) {
 				c.Update(func() {
-					ai.res[i] = abaResult{bit: b, round: insts[i].DecidedRound}
+					ai.res[i] = abaResult{bit: b, round: insts[i].DecidedRound, coins: insts[i].CoinRounds}
 					ai.t.report(i)
 				})
 			})
@@ -233,7 +234,7 @@ func (ai *ABAInstance) Wait(ctx context.Context) error { return ai.t.wait(ctx) }
 func (ai *ABAInstance) Outcome() ABAOutcome {
 	out := ABAOutcome{Agreed: true}
 	first := true
-	total, cnt := 0, 0
+	total, coins, cnt := 0, 0, 0
 	ai.t.c.EachHonest(func(i int) {
 		r := ai.res[i]
 		if first {
@@ -243,12 +244,14 @@ func (ai *ABAInstance) Outcome() ABAOutcome {
 			out.Agreed = false
 		}
 		total += r.round
+		coins += r.coins
 		cnt++
 		if r.round > out.MaxRound {
 			out.MaxRound = r.round
 		}
 	})
 	out.MeanRound = float64(total) / float64(cnt)
+	out.CoinRounds = float64(coins) / float64(cnt)
 	out.Stats = ai.t.stats()
 	return out
 }

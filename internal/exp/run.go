@@ -145,6 +145,9 @@ type ABAOutcome struct {
 	Bit       byte
 	MeanRound float64 // mean DecidedRound across honest parties
 	MaxRound  int
+	// CoinRounds is the mean number of round coins an honest party started
+	// (aba.ABA.CoinRounds): rounds whose view₂ was split.
+	CoinRounds float64
 }
 
 // ABACoinKind selects the coin powering the ABA.

@@ -62,6 +62,7 @@ func abaRun(kind ABACoinKind) func(RunSpec) (Outcome, error) {
 			"agreed":      b2f(out.Agreed),
 			"mean-round":  out.MeanRound,
 			"max-round":   float64(out.MaxRound),
+			"coin-rounds": out.CoinRounds,
 			"decided-bit": float64(out.Bit),
 		}}, nil
 	}

@@ -230,18 +230,6 @@ func (c *Cluster) TCPStats() livenet.TCPStats {
 	return c.Live.TCPStats()
 }
 
-// RecoveryStats reports WAL-backed crash-recovery counters. Neither
-// in-process runtime keeps a journal — the simulator restarts nothing and
-// the live mesh holds all state in memory — so both report zeros; the
-// counters become meaningful on the multi-process runtime (noded publishes
-// them per party via livenet.Party.SetRecoveryStats).
-func (c *Cluster) RecoveryStats() livenet.RecoveryStats {
-	if c.Live == nil {
-		return livenet.RecoveryStats{}
-	}
-	return c.Live.RecoveryStats()
-}
-
 // Sever force-closes the live (from → to) TCP connection; the transport
 // redials with backoff and resends unacked frames. No-op off TCP. It
 // reports whether a live connection was actually killed, so callers that

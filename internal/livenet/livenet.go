@@ -350,8 +350,8 @@ func (nw *Network) TCPStats() TCPStats {
 }
 
 // RecoveryStats counts one party's WAL-backed crash-recovery activity. It
-// is populated by a durable daemon (noded) after replaying its journal;
-// in-process runtimes, which keep no journal, report zeros.
+// is populated by a durable daemon (noded) after replaying its journal and
+// published through its stats RPC; in-process runtimes keep no journal.
 type RecoveryStats struct {
 	Restarts        int64 // recoveries from a non-empty journal (0 or 1 per process)
 	ReplayedRecords int64 // journal records replayed at startup
@@ -364,10 +364,6 @@ type RecoveryStats struct {
 	Compactions     int64 // snapshot+compaction cycles
 	SnapshotBytes   int64 // size of the live snapshot base
 }
-
-// RecoveryStats reports zeros: the in-process runtime keeps no journal
-// (crash recovery is a multi-process concern; see internal/noded).
-func (nw *Network) RecoveryStats() RecoveryStats { return RecoveryStats{} }
 
 // PeerDrops reports the frames charged against the (from, to) link: frames
 // dropped to outbox overflow on the sender side, plus inbound handshakes at

@@ -15,8 +15,8 @@ package nodenet
 //     core sets, so the process and the simulator must each elect a leader
 //     Alg. 5 allows for the seed (election.GenesisLeaders, or the default
 //     leader) rather than the same one. Other timing-dependent outcomes
-//     (distinct-proposal VBA, weak coins, ADKG's contributor set) are
-//     compared across processes only.
+//     (split-input ABA, distinct-proposal VBA, weak coins, ADKG's
+//     contributor set) are compared across processes only.
 
 import (
 	"context"
@@ -68,6 +68,10 @@ var Workloads = []Workload{
 		Predicate: "prefix:ok:", Agreement: true, Sim: true},
 	{Name: "aba-unanimous", Kind: "aba", Genesis: "wl/a",
 		Input: func(int) []byte { return []byte{1} }, Agreement: true, Sim: true},
+	// Split inputs put the round coin on the path: views {v,⊥} start it
+	// without waiting, views {⊥} wait for it.
+	{Name: "aba-split", Kind: "aba", Genesis: "wl/as",
+		Input: func(i int) []byte { return []byte{byte(i % 2)} }, Agreement: true},
 	{Name: "vba-contested", Kind: "vba", Genesis: "wl/vc",
 		Input:     func(i int) []byte { return []byte(fmt.Sprintf("ok:p%d", i)) },
 		Predicate: "prefix:ok:", Agreement: true},

@@ -240,7 +240,6 @@ func (c *Cluster) Close() {
 func (c *Cluster) Stats() Stats {
 	t := c.hc.TotalTally()
 	tcp := c.hc.TCPStats()
-	rec := c.hc.RecoveryStats()
 	return Stats{
 		Messages: t.Msgs, Bytes: t.Bytes, Rounds: 0,
 		Verifies: c.hc.Verifies(), ScriptVerifies: c.hc.ScriptVerifies(),
@@ -250,13 +249,6 @@ func (c *Cluster) Stats() Stats {
 			Resends: tcp.Resends, Redials: tcp.Redials, BackoffResets: tcp.BackoffResets,
 			AuthRejects: tcp.AuthRejects, Dups: tcp.Dups,
 			WANDelays: tcp.WANDelays, WANLosses: tcp.WANLosses,
-		},
-		Recovery: RecoveryStats{
-			Restarts: rec.Restarts, ReplayedRecords: rec.ReplayedRecords,
-			ReplayedFrames: rec.ReplayedFrames, ReplayedOps: rec.ReplayedOps,
-			SelfMismatches: rec.SelfMismatches, TruncatedBytes: rec.TruncatedBytes,
-			WALAppends: rec.WALAppends, WALSyncs: rec.WALSyncs,
-			Compactions: rec.Compactions, SnapshotBytes: rec.SnapshotBytes,
 		},
 	}
 }
@@ -330,27 +322,6 @@ type Stats struct {
 	// WAN-emulation counters. All zero on the simulator and channels
 	// runtimes; cluster-cumulative on TCP.
 	Transport TransportStats
-	// Recovery carries WAL-backed crash-recovery counters. Always zero on
-	// the in-process runtimes — no journal exists to recover from; the
-	// multi-process daemon (internal/noded, launched via internal/nodenet)
-	// populates the equivalent counters in its control-RPC stats.
-	Recovery RecoveryStats
-}
-
-// RecoveryStats mirrors livenet.RecoveryStats into the public stats
-// surface: journal replay at restart, write-ahead activity, and
-// snapshot+compaction cycles.
-type RecoveryStats struct {
-	Restarts        int64 // recoveries from a non-empty journal
-	ReplayedRecords int64 // journal records replayed at startup
-	ReplayedFrames  int64 // …of which inbound/self message frames
-	ReplayedOps     int64 // …of which instance launches and drains
-	SelfMismatches  int64 // replay self-sends diverging from the journal
-	TruncatedBytes  int64 // torn journal tail dropped on open
-	WALAppends      int64 // records appended this process lifetime
-	WALSyncs        int64 // fsync batches committed
-	Compactions     int64 // snapshot+compaction cycles
-	SnapshotBytes   int64 // size of the live snapshot base
 }
 
 // TransportStats mirrors the TCP mesh counters (livenet.TCPStats) into the

@@ -5,8 +5,9 @@ package repro
 // engine per honest party on the cluster; Submit feeds transactions into
 // per-party mempools with blocking backpressure, a single pump goroutine
 // drives the runtime and verifies that every honest party committed the
-// identical slot before emitting it, and Stop drains in-band: stopping
-// parties flag their batches, and the first slot committing only flagged
+// identical slot before emitting it, and Stop drains in-band: once no
+// honest party holds an uncommitted transaction, stopping parties flag
+// their (empty) batches, and the first slot committing only flagged
 // batches ends the log identically everywhere.
 
 import (
@@ -88,11 +89,26 @@ type Ledger struct {
 	logs     map[int][][]abc.Entry // per-party committed slots not yet emitted, in order
 	launched map[int]int           // per-party locally launched slot count
 	finished int                   // honest engines that delivered their final slot
-	stopped  bool
 	err      error
 	rr       int // round-robin cursor
 	emitted  int // slots emitted to out and popped from every log (pump-owned; under mu for readers)
+
+	// Stop's drain (see advanceStop).
+	stopped  bool         // set by Stop once every pool is closed
+	idle     map[int]bool // honest parties seen holding no transactions since stopped
+	queried  bool         // every engine was asked whether it is idle
+	stopSent bool         // RequestStop was sent to every engine
+	frontier int          // most slots any honest party has delivered
+	dry      int          // consecutive frontier slots without a transaction while draining
 }
+
+// drainPatience bounds Stop's drain: once this many consecutive slots
+// commit no transaction, RequestStop goes out even though some engine
+// still holds transactions. An honest batch can be voted out of slot after
+// slot — an adversarial schedule can censor it forever, and a lone large
+// batch can lose the race to its peers' empty ones — and Stop must end.
+// What such a batch carries comes back as Stop's leftovers.
+const drainPatience = 16
 
 // NewLedger starts a streaming atomic-broadcast ledger under tag. The
 // ledger is work-conserving: with nothing submitted, no slots run. Callers
@@ -116,6 +132,7 @@ func (c *Cluster) NewLedger(tag string, opts ...LedgerOption) (*Ledger, error) {
 		abort:    make(chan struct{}),
 		logs:     make(map[int][][]abc.Entry),
 		launched: make(map[int]int),
+		idle:     make(map[int]bool),
 	}
 	hc := c.hc
 	hc.EachHonest(func(i int) {
@@ -141,8 +158,10 @@ func (c *Cluster) NewLedger(tag string, opts ...LedgerOption) (*Ledger, error) {
 					hc.Update(func() {
 						l.mu.Lock()
 						l.logs[i] = append(l.logs[i], entries)
+						l.noteSlotLocked(i, entries)
 						l.mu.Unlock()
 					})
+					l.noteIdle(i)
 				},
 				func(int) {
 					hc.Update(func() {
@@ -198,31 +217,35 @@ func (l *Ledger) Err() error {
 }
 
 // Stop drains and ends the ledger: future Submits fail, already-queued
-// transactions commit through flagged slots, and the stream closes after
-// the agreed final slot. Returns any leftover transactions that could not
-// be carried (queued after the final slot sealed — normally none). Stop is
+// transactions commit in ordinary slots, and only once no honest party
+// holds a queued or in-flight transaction is every engine asked to stop
+// (abc.Engine.RequestStop). The final all-stop slot therefore carries only
+// empty batches, and no batch can be voted out of it with transactions
+// aboard. A schedule that keeps voting one party's batch out cannot hold
+// Stop forever: after drainPatience slots that commit nothing, the engines
+// are asked to stop anyway. The stream closes after the agreed final slot.
+// Returns any leftover transactions that could not be carried (normally
+// none). Stop is
 // idempotent; all callers block until the drain completes or their ctx
 // ends. A ctx that ends first aborts the pump — the usual cause is a
 // consumer that stopped draining Committed(), wedging the drain — so the
 // stream closes, Err reports ErrLedgerAbandoned, and Stop returns
 // ctx.Err() rather than leaking the pump forever.
 func (l *Ledger) Stop(ctx context.Context) ([][]byte, error) {
-	l.mu.Lock()
-	already := l.stopped
-	l.stopped = true
-	l.mu.Unlock()
-	if !already {
-		for _, p := range l.pools {
-			if p != nil {
-				p.Close()
-			}
+	// Closing the pools before stopped is visible makes every later Submit
+	// fail and every idle reading taken after it final (see noteIdle).
+	// Setting it through Update wakes a pump blocked in Await.
+	for _, p := range l.pools {
+		if p != nil {
+			p.Close()
 		}
-		hc := l.c.hc
-		hc.EachHonest(func(i int) {
-			hc.Launch(i, func() { l.engines[i].RequestStop() })
-		})
-		l.kickPump()
 	}
+	l.c.hc.Update(func() {
+		l.mu.Lock()
+		l.stopped = true
+		l.mu.Unlock()
+	})
+	l.kickPump()
 	select {
 	case <-l.done:
 	case <-ctx.Done():
@@ -282,6 +305,7 @@ func (l *Ledger) pump() {
 				return
 			}
 		}
+		l.advanceStop()
 		err := l.c.hc.Await(ctx, l.progress)
 		if err != nil {
 			if l.aborted() {
@@ -304,12 +328,86 @@ func (l *Ledger) pump() {
 	}
 }
 
-// progress is the Await predicate: a new slot is emittable, or every
-// engine has finished. Runs under the driver lock on the live runtime.
+// progress is the Await predicate: a new slot is emittable, every engine
+// has finished, or Stop's drain has a step for advanceStop to take. Runs
+// under the driver lock on the live runtime.
 func (l *Ledger) progress() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.emittableLocked() || l.finished == len(l.order)
+	return l.emittableLocked() || l.finished == len(l.order) ||
+		l.stopped && (!l.queried || !l.stopSent && l.drainedLocked())
+}
+
+// drainedLocked reports whether Stop's drain is over: no honest engine
+// holds a transaction, or the drain stopped committing (drainPatience).
+func (l *Ledger) drainedLocked() bool {
+	return len(l.idle) == len(l.order) || l.dry >= drainPatience
+}
+
+// noteSlotLocked advances the delivery frontier when party i delivers a
+// slot no party had delivered before, and counts the slot towards
+// drainPatience while draining. Every honest log is the same, so the
+// fastest party's view decides; a party the schedule starves cannot hold
+// the count back.
+func (l *Ledger) noteSlotLocked(i int, entries []abc.Entry) {
+	if l.committedLocked(i) <= l.frontier {
+		return
+	}
+	l.frontier++
+	if !l.stopped || l.stopSent {
+		return
+	}
+	l.dry++
+	for _, e := range entries {
+		if len(e.Txs) > 0 {
+			l.dry = 0
+			return
+		}
+	}
+}
+
+// advanceStop is the pump's step of Stop's drain, taken at each wake-up.
+// Once Stop has closed the pools it asks every honest engine whether it
+// still holds transactions (each later delivery re-asks, see noteIdle);
+// once none does, or the drain stops committing (drainPatience), it sends
+// RequestStop to every engine.
+func (l *Ledger) advanceStop() {
+	var step func(i int)
+	l.mu.Lock()
+	switch {
+	case !l.stopped || l.stopSent:
+	case l.drainedLocked():
+		l.stopSent = true
+		step = func(i int) { l.engines[i].RequestStop() }
+	case !l.queried:
+		l.queried = true
+		step = l.noteIdle
+	}
+	l.mu.Unlock()
+	if step != nil {
+		hc := l.c.hc
+		hc.EachHonest(func(i int) {
+			hc.Launch(i, func() { step(i) })
+		})
+	}
+}
+
+// noteIdle runs in party i's dispatch context and records the party as
+// idle once Stop has begun and its engine is not Pending. stopped is read
+// first: it is set only after every pool closed, and a closed engine's
+// idleness is permanent.
+func (l *Ledger) noteIdle(i int) {
+	l.mu.Lock()
+	stopped := l.stopped
+	l.mu.Unlock()
+	if !stopped || l.engines[i].Pending() {
+		return
+	}
+	l.c.hc.Update(func() {
+		l.mu.Lock()
+		l.idle[i] = true
+		l.mu.Unlock()
+	})
 }
 
 func (l *Ledger) emittableLocked() bool {

@@ -291,3 +291,84 @@ func TestLedgerBackpressureBlocksNotDrops(t *testing.T) {
 	}
 	checkExactlyOnce(t, seen, admitted)
 }
+
+// TestLedgerStopLeavesNoLeftovers: Stop drains before it stops — every
+// engine is asked to stop only once no honest party holds a queued or
+// in-flight transaction — so the final slot carries only empty batches
+// and Stop returns no leftovers. The LIFO adversary censors one party's
+// batch slot after slot; there the drain gives up after drainPatience
+// empty slots, and Stop still ends with every transaction accounted for.
+func TestLedgerStopLeavesNoLeftovers(t *testing.T) {
+	for _, sched := range []string{"random", "delay", "partition", "lifo"} {
+		t.Run(sched, func(t *testing.T) {
+			c, err := NewCluster(4, WithSeed(107), WithScheduler(sched),
+				WithGenesisNonce([]byte("ledger")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			l, err := c.NewLedger("log", WithBatchBytes(96))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for q := 0; q < 16; q++ {
+				tx := fmt.Sprintf("%s-drain-tx-%02d", sched, q)
+				want = append(want, tx)
+				if err := l.Submit(context.Background(), []byte(tx)); err != nil {
+					t.Fatalf("submit %d: %v", q, err)
+				}
+			}
+			got := make(chan map[string]int, 1)
+			go func() { got <- drainLedger(t, l) }()
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			leftover, err := l.Stop(ctx)
+			if err != nil {
+				t.Fatalf("stop: %v", err)
+			}
+			if len(leftover) != 0 && sched != "lifo" {
+				t.Fatalf("stop returned %d leftovers, want 0", len(leftover))
+			}
+			seen := <-got
+			for _, tx := range leftover {
+				seen[string(tx)]++
+			}
+			checkExactlyOnce(t, seen, want)
+		})
+	}
+}
+
+// TestLedgerStopAfterIdleCommitLive: on the live TCP runtime a ledger
+// whose only transaction has committed sits idle, with the pump possibly
+// parked in Await on a stale wake-up; Stop must still wake it and finish
+// the drain well inside its ctx.
+func TestLedgerStopAfterIdleCommitLive(t *testing.T) {
+	c, err := NewCluster(4, WithSeed(108), WithRuntime(RuntimeLiveTCP),
+		WithGenesisNonce([]byte("ledger")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for k := 0; k < 5; k++ {
+		l, err := c.NewLedger(fmt.Sprintf("idle%d", k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := fmt.Sprintf("idle-tx-%d", k)
+		if err := l.Submit(context.Background(), []byte(tx)); err != nil {
+			t.Fatalf("ledger %d: submit: %v", k, err)
+		}
+		commit, ok := <-l.Committed()
+		if !ok || len(commit.Entries) != 1 || string(commit.Entries[0].Txs[0]) != tx {
+			t.Fatalf("ledger %d: first commit %+v (open=%v), want %q", k, commit, ok, tx)
+		}
+		go drainLedger(t, l)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		leftover, err := l.Stop(ctx)
+		cancel()
+		if err != nil || len(leftover) != 0 {
+			t.Fatalf("ledger %d: stop after an idle commit: %d leftovers, err %v", k, len(leftover), err)
+		}
+	}
+}
