@@ -323,6 +323,37 @@ func TestByzantineEquivocatingVotes(t *testing.T) {
 	}
 }
 
+// TestHaltedInstanceRecordsDoubleVotes: a double vote that arrives after
+// the receiver halted is still evidence. The honest parties decide and
+// halt without the Byzantine party; its conflicting AUX1, AUX2 and FINISH
+// copies then reach a halted instance, which records each pair once.
+func TestHaltedInstanceRecordsDoubleVotes(t *testing.T) {
+	const n, f = 4, 1
+	fx := setup(t, n, f, 80, harness.Options{Byzantine: map[int]bool{3: true}}, testCoins("halt"))
+	fx.start(map[int]byte{0: 1, 1: 1, 2: 1})
+	if err := fx.c.Net.RunAll(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if !fx.insts[0].halted {
+		t.Fatal("party 0 did not halt")
+	}
+	node := fx.c.Net.Node(0)
+	before := node.Equivocations()
+	for _, m := range [][]byte{
+		{msgAUX1, 0, 0, 0, 1, 1}, {msgAUX1, 0, 0, 0, 1, 0},
+		{msgAUX2, 0, 0, 0, 1, 1}, {msgAUX2, 0, 0, 0, 1, bot},
+		{msgFINISH, 1}, {msgFINISH, 0},
+	} {
+		fx.c.Net.Inject(3, 0, "aba", m)
+	}
+	if err := fx.c.Net.RunAll(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if got := node.Equivocations() - before; got != 3 {
+		t.Fatalf("halted instance recorded %d double votes, want 3 (AUX1, AUX2, FINISH)", got)
+	}
+}
+
 func TestMalformedMessagesRejected(t *testing.T) {
 	const n, f = 4, 1
 	fx := setup(t, n, f, 60, harness.Options{}, testCoins("mal"))

@@ -163,32 +163,17 @@ func (e *Engine) NotifyWork() { e.tryLaunch() }
 // slot outruns. Requeued transactions have no later slot to carry them;
 // callers needing them must inspect the pool after finish (the Ledger
 // layer reports leftovers). A caller that sees every honest engine at
-// once can avoid them by draining before it stops: call RequestStop only
-// after no honest engine is Pending (with its mempool closed), so the
-// final slot carries only empty batches. The public Ledger does so; a
-// single noded process cannot, and its drain may still return leftovers.
+// once can avoid them by draining before it stops: close the mempools and
+// call RequestStop only once every transaction they admitted has been
+// delivered, so the final slot carries only empty batches. The public
+// Ledger does so; a single noded process cannot, and its drain may still
+// return leftovers.
 func (e *Engine) RequestStop() {
 	if e.stopping {
 		return
 	}
 	e.stopping = true
 	e.tryLaunch()
-}
-
-// Pending reports whether this party still holds transactions that have
-// not committed: queued in its mempool, or carried by its batch in a slot
-// not yet delivered. Once its mempool is closed, an engine that is not
-// Pending stays so — only an undelivered batch can requeue transactions.
-func (e *Engine) Pending() bool {
-	if !e.pool.Empty() {
-		return true
-	}
-	for _, st := range e.slots {
-		if len(st.myTxs) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // DeliveredThrough reports how many leading slots have been delivered.

@@ -174,16 +174,17 @@ func RunByzantine(rs RunSpec, protocol string, behaviors []string) (ByzOutcome, 
 	agreed, decision := outcome()
 	h := fnv.New32a()
 	h.Write([]byte(decision))
-	stats := collectStats(c, maxHonestDepth(c))
-	// The cost columns stop at the last honest output, but a lie the
-	// scheduler held back past it (a partitioned liar) is still evidence:
-	// deliver what is in flight — halted instances keep recording double
-	// votes — and read the detection counters after that.
+	// A lie the scheduler held back past the last honest output (a
+	// partitioned liar) is still evidence: deliver what is in flight —
+	// halted instances keep recording double votes — before reading the
+	// counters. Traffic and detections cover the whole run, drain
+	// included; the depth is read before the drain.
+	depth := maxHonestDepth(c)
 	var stall *sim.StallError
 	if err := c.Await(context.Background(), func() bool { return false }); !errors.As(err, &stall) {
 		return ByzOutcome{}, fmt.Errorf("byz %s run: draining in-flight lies: %w", protocol, err)
 	}
-	stats.Rejected, stats.Equivocations = c.Rejected(), c.Equivocations()
+	stats := collectStats(c, depth)
 	return ByzOutcome{
 		Stats:    stats,
 		Agreed:   agreed,

@@ -241,26 +241,37 @@ func (c *Cluster) Sever(from, to int) bool {
 	return false
 }
 
-// Rejected reports malformed messages dropped by protocol handlers
-// cluster-wide — the detection counter Byzantine-behavior specs assert on.
+// Rejected reports malformed messages dropped by honest parties' protocol
+// handlers — the detection counter Byzantine-behavior specs assert on. A
+// corrupted party's own handlers do not count: a liar running the honest
+// state machines would otherwise detect itself.
 func (c *Cluster) Rejected() int64 {
-	if c.Net != nil {
-		return c.Net.Metrics().Rejected
-	}
-	return c.Live.Rejected()
+	var t int64
+	c.EachHonest(func(i int) {
+		if c.Net != nil {
+			t += c.Net.Node(i).Rejected()
+		} else {
+			t += c.Live.Node(i).Rejected()
+		}
+	})
+	return t
 }
 
-// Equivocations reports conflicting-message evidence recorded by protocol
-// handlers cluster-wide — proof of actively lying senders, as opposed to
-// Rejected's unattributable garbage.
+// Equivocations reports conflicting-message evidence recorded by honest
+// parties' protocol handlers — proof of actively lying senders, as opposed
+// to Rejected's unattributable garbage.
 func (c *Cluster) Equivocations() int64 {
-	if c.Net != nil {
-		return c.Net.Metrics().Equivocations
-	}
-	return c.Live.Equivocations()
+	var t int64
+	c.EachHonest(func(i int) {
+		if c.Net != nil {
+			t += c.Net.Node(i).Equivocations()
+		} else {
+			t += c.Live.Node(i).Equivocations()
+		}
+	})
+	return t
 }
 
-// Steps reports simulator deliveries so far (0 on the live runtime).
 func (c *Cluster) Steps() int64 {
 	if c.Net != nil {
 		return c.Net.Steps()

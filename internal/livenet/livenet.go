@@ -398,25 +398,6 @@ func (nw *Network) MeshAddr(i int) string {
 	return ""
 }
 
-// Rejected reports the total malformed messages dropped across nodes.
-func (nw *Network) Rejected() int64 {
-	var t int64
-	for _, nd := range nw.nodes {
-		t += nd.rejected.Load()
-	}
-	return t
-}
-
-// Equivocations reports the total conflicting-message evidence recorded
-// across nodes.
-func (nw *Network) Equivocations() int64 {
-	var t int64
-	for _, nd := range nw.nodes {
-		t += nd.equivocations.Load()
-	}
-	return t
-}
-
 // Network's nodeEnv implementation (Node runs against either a full
 // Network or a single-party Party).
 func (nw *Network) partyCount() int { return nw.n }
@@ -457,6 +438,13 @@ func (nd *Node) Reject() { nd.rejected.Add(1) }
 
 // Equivocation counts conflicting-message evidence against a sender.
 func (nd *Node) Equivocation() { nd.equivocations.Add(1) }
+
+// Rejected reports the malformed messages this node's handlers dropped.
+func (nd *Node) Rejected() int64 { return nd.rejected.Load() }
+
+// Equivocations reports the conflicting-message evidence this node's
+// handlers recorded.
+func (nd *Node) Equivocations() int64 { return nd.equivocations.Load() }
 
 // Register installs a handler and replays buffered messages for it. A
 // path under a retired prefix is not installed: a finished instance's

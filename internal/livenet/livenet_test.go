@@ -207,8 +207,8 @@ func TestRejectCounting(t *testing.T) {
 	}))
 	nw.Node(0).Do(func() { nw.Node(0).Send("x", 1, []byte("bad")) })
 	collect(t, done, 1, 5*time.Second)
-	if nw.Rejected() != 1 {
-		t.Fatalf("rejected = %d", nw.Rejected())
+	if got := nw.Node(1).Rejected(); got != 1 {
+		t.Fatalf("rejected = %d", got)
 	}
 }
 

@@ -54,8 +54,8 @@ type Workload struct {
 	// Byz names an adversary behavior run by the top-indexed party: that
 	// process's protocol instance lies on the wire (internal/adversary via
 	// noded's launch path). The run then additionally asserts that the
-	// cluster's detection counters (rejected + equivocations) fired —
-	// a lying process nobody caught fails the workload. Byz workloads are
+	// honest processes' detection counters (rejected + equivocations)
+	// fired — a lying process nobody caught fails the workload. Byz workloads are
 	// never Sim-pinned: the simulator reference run has no liar.
 	Byz string
 }
@@ -160,8 +160,8 @@ func (w Workload) Run(cl *Cluster) (*WorkloadResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("workload %s: stats: %w", w.Name, err)
 		}
-		var detected int64
-		for _, s := range stats {
+		var detected int64 // the liar's own process does not count
+		for _, s := range stats[:cl.N-1] {
 			detected += s.Rejected + s.Equivocations
 		}
 		if detected == 0 {

@@ -442,6 +442,8 @@ type Node struct {
 	depth   int
 	rng     *rand.Rand
 	crashed bool
+
+	rejected, equivocations int64 // this node's share of the Metrics counters
 }
 
 // N returns the party count.
@@ -496,7 +498,20 @@ func (nd *Node) Multicast(inst string, body []byte) {
 }
 
 // Reject records a malformed inbound message.
-func (nd *Node) Reject() { nd.nw.Reject() }
+func (nd *Node) Reject() {
+	nd.rejected++
+	nd.nw.Reject()
+}
 
 // Equivocation records conflicting-message evidence against a sender.
-func (nd *Node) Equivocation() { nd.nw.Equivocation() }
+func (nd *Node) Equivocation() {
+	nd.equivocations++
+	nd.nw.Equivocation()
+}
+
+// Rejected reports the malformed messages this node's handlers dropped.
+func (nd *Node) Rejected() int64 { return nd.rejected }
+
+// Equivocations reports the conflicting-message evidence this node's
+// handlers recorded.
+func (nd *Node) Equivocations() int64 { return nd.equivocations }

@@ -312,11 +312,12 @@ type Stats struct {
 	// Rejected counts messages honest parties dropped at receipt as
 	// malformed or cryptographically invalid. Zero in honest runs; nonzero
 	// when a party is lying on the wire (the Byzantine behaviors of
-	// internal/adversary). Cluster-cumulative, like Verifies.
+	// internal/adversary). Summed over the honest parties.
 	Rejected int64
 	// Equivocations counts messages carrying proof that a sender lied —
 	// two conflicting signed votes from the same party in the same round,
-	// a pinned-value conflict, a contradictory FINISH. Cluster-cumulative.
+	// a pinned-value conflict, a contradictory FINISH. Summed over the
+	// honest parties.
 	Equivocations int64
 	// Transport carries the live TCP transport's framing, reconnect, and
 	// WAN-emulation counters. All zero on the simulator and channels

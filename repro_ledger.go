@@ -5,10 +5,10 @@ package repro
 // engine per honest party on the cluster; Submit feeds transactions into
 // per-party mempools with blocking backpressure, a single pump goroutine
 // drives the runtime and verifies that every honest party committed the
-// identical slot before emitting it, and Stop drains in-band: once no
-// honest party holds an uncommitted transaction, stopping parties flag
-// their (empty) batches, and the first slot committing only flagged
-// batches ends the log identically everywhere.
+// identical slot before emitting it, and Stop drains in-band: once every
+// submitted transaction has committed, stopping parties flag their (empty)
+// batches, and the first slot committing only flagged batches ends the log
+// identically everywhere.
 
 import (
 	"bytes"
@@ -94,21 +94,27 @@ type Ledger struct {
 	emitted  int // slots emitted to out and popped from every log (pump-owned; under mu for readers)
 
 	// Stop's drain (see advanceStop).
-	stopped  bool         // set by Stop once every pool is closed
-	idle     map[int]bool // honest parties seen holding no transactions since stopped
-	queried  bool         // every engine was asked whether it is idle
-	stopSent bool         // RequestStop was sent to every engine
-	frontier int          // most slots any honest party has delivered
-	dry      int          // consecutive frontier slots without a transaction while draining
+	stopped   bool // set by Stop once every pool is closed
+	stopSent  bool // RequestStop was sent to every engine
+	admitted  int  // transactions Submit placed (or is placing) in a pool
+	committed int  // transactions in slots up to frontier
+	frontier  int  // most slots any honest party has delivered
+	dry       int  // consecutive frontier slots without a transaction while draining
+	patience  int  // dry slots after which the drain gives up (see drainWindows)
 }
 
-// drainPatience bounds Stop's drain: once this many consecutive slots
-// commit no transaction, RequestStop goes out even though some engine
-// still holds transactions. An honest batch can be voted out of slot after
-// slot — an adversarial schedule can censor it forever, and a lone large
-// batch can lose the race to its peers' empty ones — and Stop must end.
-// What such a batch carries comes back as Stop's leftovers.
-const drainPatience = 16
+// drainWindows bounds Stop's drain in pipeline windows (MaxInFlight
+// slots): once drainWindows windows' worth of consecutive slots commit no
+// transaction, RequestStop goes out even though some transactions have
+// not committed. An honest batch can be voted out of slot after slot — an
+// adversarial schedule can censor it forever — and Stop must end; what a
+// censored batch carries comes back as Stop's leftovers. An honest but
+// slow batch also costs empty slots: each time it is voted out, the slots
+// already launched past it (up to a window) may commit nothing. On the
+// simulator's delay scheduler (n=4, 32 transactions, seeds 1–20) the
+// longest honest run of empty drain slots was 15, 11 and 39 slots at
+// windows of 1, 2 and 4, against bounds of 32, 64 and 128.
+const drainWindows = 32
 
 // NewLedger starts a streaming atomic-broadcast ledger under tag. The
 // ledger is work-conserving: with nothing submitted, no slots run. Callers
@@ -132,8 +138,12 @@ func (c *Cluster) NewLedger(tag string, opts ...LedgerOption) (*Ledger, error) {
 		abort:    make(chan struct{}),
 		logs:     make(map[int][][]abc.Entry),
 		launched: make(map[int]int),
-		idle:     make(map[int]bool),
 	}
+	window := o.maxInFlight
+	if window <= 0 {
+		window = abc.DefaultMaxInFlight
+	}
+	l.patience = drainWindows * window
 	hc := c.hc
 	hc.EachHonest(func(i int) {
 		l.order = append(l.order, i)
@@ -161,7 +171,6 @@ func (c *Cluster) NewLedger(tag string, opts ...LedgerOption) (*Ledger, error) {
 						l.noteSlotLocked(i, entries)
 						l.mu.Unlock()
 					})
-					l.noteIdle(i)
 				},
 				func(int) {
 					hc.Update(func() {
@@ -188,8 +197,16 @@ func (l *Ledger) Submit(ctx context.Context, tx []byte) error {
 	}
 	p := l.order[l.rr%len(l.order)]
 	l.rr++
+	l.admitted++ // before the pool sees it, so Stop's drain waits for it
 	l.mu.Unlock()
 	if err := l.pools[p].Submit(ctx, tx); err != nil {
+		// Through Update, which wakes a pump blocked in Await: a Stop
+		// racing this Submit may be waiting for exactly this transaction.
+		l.c.hc.Update(func() {
+			l.mu.Lock()
+			l.admitted--
+			l.mu.Unlock()
+		})
 		if errors.Is(err, abc.ErrMempoolClosed) {
 			return ErrLedgerStopped
 		}
@@ -217,24 +234,24 @@ func (l *Ledger) Err() error {
 }
 
 // Stop drains and ends the ledger: future Submits fail, already-queued
-// transactions commit in ordinary slots, and only once no honest party
-// holds a queued or in-flight transaction is every engine asked to stop
+// transactions commit in ordinary slots, and only once every admitted
+// transaction has committed is every engine asked to stop
 // (abc.Engine.RequestStop). The final all-stop slot therefore carries only
 // empty batches, and no batch can be voted out of it with transactions
 // aboard. A schedule that keeps voting one party's batch out cannot hold
-// Stop forever: after drainPatience slots that commit nothing, the engines
-// are asked to stop anyway. The stream closes after the agreed final slot.
-// Returns any leftover transactions that could not be carried (normally
-// none). Stop is
-// idempotent; all callers block until the drain completes or their ctx
-// ends. A ctx that ends first aborts the pump — the usual cause is a
-// consumer that stopped draining Committed(), wedging the drain — so the
-// stream closes, Err reports ErrLedgerAbandoned, and Stop returns
-// ctx.Err() rather than leaking the pump forever.
+// Stop forever: after drainWindows pipeline windows of slots that commit
+// nothing, the engines are asked to stop anyway. The stream closes after
+// the agreed final slot. Returns any leftover transactions that could not
+// be carried (normally none). Stop is idempotent; all callers block until
+// the drain completes or their ctx ends. A ctx that ends first aborts the
+// pump — the usual cause is a consumer that stopped draining Committed(),
+// wedging the drain — so the stream closes, Err reports
+// ErrLedgerAbandoned, and Stop returns ctx.Err() rather than leaking the
+// pump forever.
 func (l *Ledger) Stop(ctx context.Context) ([][]byte, error) {
 	// Closing the pools before stopped is visible makes every later Submit
-	// fail and every idle reading taken after it final (see noteIdle).
-	// Setting it through Update wakes a pump blocked in Await.
+	// fail, so admitted can only fall once the drain looks at it. Setting
+	// stopped through Update wakes a pump blocked in Await.
 	for _, p := range l.pools {
 		if p != nil {
 			p.Close()
@@ -335,79 +352,54 @@ func (l *Ledger) progress() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.emittableLocked() || l.finished == len(l.order) ||
-		l.stopped && (!l.queried || !l.stopSent && l.drainedLocked())
+		l.stopped && !l.stopSent && l.drainedLocked()
 }
 
-// drainedLocked reports whether Stop's drain is over: no honest engine
-// holds a transaction, or the drain stopped committing (drainPatience).
+// drainedLocked reports whether Stop's drain is over: every admitted
+// transaction committed, or the drain stopped committing (drainWindows).
 func (l *Ledger) drainedLocked() bool {
-	return len(l.idle) == len(l.order) || l.dry >= drainPatience
+	return l.committed == l.admitted || l.dry >= l.patience
 }
 
 // noteSlotLocked advances the delivery frontier when party i delivers a
-// slot no party had delivered before, and counts the slot towards
-// drainPatience while draining. Every honest log is the same, so the
-// fastest party's view decides; a party the schedule starves cannot hold
-// the count back.
+// slot no party had delivered before, counts its transactions, and counts
+// the slot towards the drain's patience while draining. Every honest log
+// is the same, so the fastest party's view decides; a party the schedule
+// starves cannot hold the counts back.
 func (l *Ledger) noteSlotLocked(i int, entries []abc.Entry) {
 	if l.committedLocked(i) <= l.frontier {
 		return
 	}
 	l.frontier++
+	txs := 0
+	for _, e := range entries {
+		txs += len(e.Txs)
+	}
+	l.committed += txs
 	if !l.stopped || l.stopSent {
 		return
 	}
-	l.dry++
-	for _, e := range entries {
-		if len(e.Txs) > 0 {
-			l.dry = 0
-			return
-		}
+	if txs > 0 {
+		l.dry = 0
+	} else {
+		l.dry++
 	}
 }
 
-// advanceStop is the pump's step of Stop's drain, taken at each wake-up.
-// Once Stop has closed the pools it asks every honest engine whether it
-// still holds transactions (each later delivery re-asks, see noteIdle);
-// once none does, or the drain stops committing (drainPatience), it sends
-// RequestStop to every engine.
+// advanceStop is the pump's step of Stop's drain, taken at each wake-up:
+// once Stop has closed the pools and the drain is over, it sends
+// RequestStop to every honest engine.
 func (l *Ledger) advanceStop() {
-	var step func(i int)
 	l.mu.Lock()
-	switch {
-	case !l.stopped || l.stopSent:
-	case l.drainedLocked():
-		l.stopSent = true
-		step = func(i int) { l.engines[i].RequestStop() }
-	case !l.queried:
-		l.queried = true
-		step = l.noteIdle
-	}
+	send := l.stopped && !l.stopSent && l.drainedLocked()
+	l.stopSent = l.stopSent || send
 	l.mu.Unlock()
-	if step != nil {
+	if send {
 		hc := l.c.hc
 		hc.EachHonest(func(i int) {
-			hc.Launch(i, func() { step(i) })
+			hc.Launch(i, func() { l.engines[i].RequestStop() })
 		})
 	}
-}
-
-// noteIdle runs in party i's dispatch context and records the party as
-// idle once Stop has begun and its engine is not Pending. stopped is read
-// first: it is set only after every pool closed, and a closed engine's
-// idleness is permanent.
-func (l *Ledger) noteIdle(i int) {
-	l.mu.Lock()
-	stopped := l.stopped
-	l.mu.Unlock()
-	if !stopped || l.engines[i].Pending() {
-		return
-	}
-	l.c.hc.Update(func() {
-		l.mu.Lock()
-		l.idle[i] = true
-		l.mu.Unlock()
-	})
 }
 
 func (l *Ledger) emittableLocked() bool {
@@ -440,12 +432,14 @@ func (l *Ledger) outstanding() bool {
 }
 
 // wedged reports whether a drained simulator stall is a genuine failure:
-// work was pending (in-flight slots or a stop drain) yet the network has
-// nothing left to deliver.
+// work was pending (in-flight slots or a requested stop) yet the network
+// has nothing left to deliver. A drain still waiting for a Submit to
+// settle (the closed pool refused it, or its engine is not yet notified)
+// is not wedged: the pump retries while stopped (see outstanding).
 func (l *Ledger) wedged() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.stopped && l.finished < len(l.order) {
+	if l.stopSent && l.finished < len(l.order) {
 		return true
 	}
 	for _, i := range l.order {

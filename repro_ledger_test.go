@@ -293,11 +293,12 @@ func TestLedgerBackpressureBlocksNotDrops(t *testing.T) {
 }
 
 // TestLedgerStopLeavesNoLeftovers: Stop drains before it stops — every
-// engine is asked to stop only once no honest party holds a queued or
-// in-flight transaction — so the final slot carries only empty batches
-// and Stop returns no leftovers. The LIFO adversary censors one party's
-// batch slot after slot; there the drain gives up after drainPatience
-// empty slots, and Stop still ends with every transaction accounted for.
+// engine is asked to stop only once every admitted transaction has
+// committed — so the final slot carries only empty batches and Stop
+// returns no leftovers. The LIFO adversary censors one party's batch slot
+// after slot; there the drain gives up after drainWindows pipeline
+// windows of empty slots, and Stop still ends with every transaction
+// accounted for.
 func TestLedgerStopLeavesNoLeftovers(t *testing.T) {
 	for _, sched := range []string{"random", "delay", "partition", "lifo"} {
 		t.Run(sched, func(t *testing.T) {
@@ -370,5 +371,64 @@ func TestLedgerStopAfterIdleCommitLive(t *testing.T) {
 		if err != nil || len(leftover) != 0 {
 			t.Fatalf("ledger %d: stop after an idle commit: %d leftovers, err %v", k, len(leftover), err)
 		}
+	}
+}
+
+// TestLedgerStopRacesSubmits: Submits still running — some blocked on a
+// full mempool — when Stop closes the pools. A refused Submit must not
+// hold the drain (it withdraws its admission), and every Submit that
+// succeeded must commit exactly once with no leftovers, on both runtimes.
+func TestLedgerStopRacesSubmits(t *testing.T) {
+	for _, rt := range []RuntimeKind{RuntimeSim, RuntimeLiveTCP} {
+		t.Run(rt.String(), func(t *testing.T) {
+			c, err := NewCluster(4, WithSeed(109), WithRuntime(rt), WithGenesisNonce([]byte("ledger")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			l, err := c.NewLedger("race", WithMempoolBytes(128), WithBatchBytes(64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make(chan map[string]int, 1)
+			go func() { got <- drainLedger(t, l) }()
+			const clients = 4
+			admitted := make(chan []string, clients)
+			for k := 0; k < clients; k++ {
+				go func(k int) {
+					var mine []string
+					for q := 0; ; q++ {
+						tx := make([]byte, 40)
+						copy(tx, fmt.Sprintf("race-%d-%03d", k, q))
+						if err := l.Submit(context.Background(), tx); err != nil {
+							if !errors.Is(err, ErrLedgerStopped) {
+								t.Errorf("client %d submit %d: %v", k, q, err)
+							}
+							admitted <- mine
+							return
+						}
+						mine = append(mine, string(tx))
+					}
+				}(k)
+			}
+			time.Sleep(200 * time.Millisecond)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			leftover, err := l.Stop(ctx)
+			if err != nil {
+				t.Fatalf("stop: %v", err)
+			}
+			if len(leftover) != 0 {
+				t.Errorf("stop returned %d leftovers, want 0", len(leftover))
+			}
+			var want []string
+			for k := 0; k < clients; k++ {
+				want = append(want, <-admitted...)
+			}
+			if len(want) == 0 {
+				t.Fatal("no Submit succeeded before Stop")
+			}
+			checkExactlyOnce(t, <-got, want)
+		})
 	}
 }
